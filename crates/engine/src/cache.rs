@@ -362,7 +362,17 @@ impl<R: Clone + Serialize + Deserialize> ResultCache<R> {
     /// the result servable in-process; the error reports the artifact
     /// problem to callers that care.
     pub fn put(&mut self, spec: &ScenarioSpec, result: &R) -> Result<(), EngineError> {
-        let key = spec.content_hash();
+        self.put_keyed(spec.content_hash(), spec, result)
+    }
+
+    /// [`ResultCache::put`] under an already-computed `key`, which must be
+    /// `spec.content_hash()`.
+    pub(crate) fn put_keyed(
+        &mut self,
+        key: ContentHash,
+        spec: &ScenarioSpec,
+        result: &R,
+    ) -> Result<(), EngineError> {
         self.mem.insert(key, result.clone());
         let Some(dir) = self.dir.clone() else {
             return Ok(());

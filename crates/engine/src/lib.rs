@@ -11,24 +11,31 @@
 //! * [`ScenarioSpec`] — a complete, serializable description of one
 //!   simulation point, with a stable [`ContentHash`] used as the cache key
 //!   and as the source of the scenario's deterministic RNG seed.
-//! * [`SweepRunner`] — a bounded work-stealing worker pool that executes
-//!   scenario closures, isolates per-scenario panics into typed
-//!   [`ScenarioError`]s (one bad scenario never takes down the sweep),
-//!   honours a configurable [`RetryPolicy`], and preserves submission order.
+//! * [`SweepRunner`] — one sweep driver behind every entry point: it
+//!   hashes each spec once, deduplicates the submission, probes the cache,
+//!   executes the misses on a bounded work-stealing worker pool that
+//!   isolates per-scenario panics into typed [`ScenarioError`]s (one bad
+//!   scenario never takes down the sweep) under a configurable
+//!   [`RetryPolicy`], and commits results to the cache. The entry points
+//!   are three sinks on that driver: [`SweepRunner::run`] (ordered slots,
+//!   submission order preserved), [`SweepRunner::run_fold`], and the
+//!   journaled fold below.
 //! * [`ResultCache`] — content-addressed results, in memory plus an optional
 //!   sharded artifact directory (compact checksummed binary by default, JSON
 //!   on request) fronted by an in-memory index, so re-running an overlapping
 //!   sweep only computes the delta and hit checks never stat the filesystem.
 //! * [`SharedInputs`] — zero-copy registry of `Arc`'d inputs (compiled
 //!   kernels, load series) common to every scenario in a sweep.
-//! * [`SweepRunner::run_fold`] — streaming monoid reduction for
-//!   population-scale sweeps that must never materialize `Vec<R>`.
+//! * [`SweepRunner::run_fold`] — streaming monoid reduction into
+//!   per-worker accumulators merged at the end, for population-scale sweeps
+//!   that must never materialize `Vec<R>`.
 //! * [`RunReport`] — per-scenario wall time, cache hit/miss counters, retry
 //!   counts, worker utilization, and a printable summary table.
 //! * [`SweepRunner::run_fold_journaled`] / [`SweepRunner::resume`] — the
-//!   crash-safe fold: an append-only CRC-framed [`RunJournal`] records every
-//!   completion and periodically checkpoints the accumulator, so a killed
-//!   sweep resumes with zero re-execution of journaled scenarios.
+//!   crash-safe fold: one locked sink appends every contribution to an
+//!   append-only CRC-framed [`RunJournal`] as it folds it and periodically
+//!   checkpoints the accumulator, so a killed sweep resumes with zero
+//!   re-execution of journaled scenarios.
 //! * [`chaos`] — deterministic fault injection (`HPCGRID_FAILPOINTS`):
 //!   named, seeded failpoints for artifact I/O errors, torn writes, scenario
 //!   panics/stalls, and simulated crashes, inert unless armed.

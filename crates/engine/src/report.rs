@@ -97,9 +97,12 @@ impl RunReport {
         }
     }
 
-    /// Mean worker utilization during the execution phase: busy time divided
-    /// by (workers × span of the execution phase). 1.0 means every worker
-    /// was busy the whole time; 0.0 if nothing executed.
+    /// Mean worker utilization over the whole sweep: summed
+    /// [`RunReport::worker_busy`] divided by (`workers` × [`RunReport::wall`]).
+    /// `wall` spans the entire sweep — hashing, cache probing and committing
+    /// results as well as execution — so a sweep with a long probe or commit
+    /// phase reads low even if every worker was busy while the pool ran.
+    /// Capped at 1.0; 0.0 if nothing executed.
     pub fn worker_utilization(&self) -> f64 {
         if self.workers == 0 || self.wall.is_zero() {
             return 0.0;

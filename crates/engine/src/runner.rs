@@ -2,26 +2,34 @@
 //! scenarios deterministically, isolates per-scenario panics, consults the
 //! content-addressed cache, and preserves submission order in its results.
 //!
-//! Two entry points share the machinery:
+//! One private driver does the work of every entry point. It hashes each
+//! spec once, probes the cache once per distinct spec (recomputing corrupt
+//! artifacts), executes the misses on the pool under the retry budget and
+//! deadline, commits each result to the cache, and fills in the
+//! [`RunReport`]. The entry points differ only in the sink the driver hands
+//! each hit and completion to:
 //!
-//! * [`SweepRunner::run`] — materializes one result slot per submitted spec
+//! * [`SweepRunner::run`] — ordered slots, one per submitted spec
 //!   (submission order preserved). Right for sweeps whose results are then
 //!   tabulated individually.
-//! * [`SweepRunner::run_fold`] — streams results into an order-insensitive
-//!   monoid fold as workers finish, never materializing `Vec<R>`. Right for
-//!   population-scale sweeps (10⁵–10⁷ scenarios) whose output is an
-//!   aggregate: totals, histograms, argmins.
+//! * [`SweepRunner::run_fold`] — per-worker accumulators of an
+//!   order-insensitive monoid fold, merged at the end; never materializes
+//!   `Vec<R>`. Right for population-scale sweeps (10⁵–10⁷ scenarios) whose
+//!   output is an aggregate: totals, histograms, argmins.
+//! * [`SweepRunner::run_fold_journaled`] / [`SweepRunner::resume`] — one
+//!   locked fold that journals every contribution as it absorbs it, so a
+//!   killed sweep resumes without re-executing anything journaled.
 
 use crate::cache::{ArtifactFormat, CacheTier, ResultCache};
 use crate::chaos::{self, sites, FailpointSet};
 use crate::error::{io_classed, EngineError, RetryPolicy, ScenarioError};
 use crate::hash::ContentHash;
-use crate::journal::{sweep_fingerprint_of, RunJournal};
+use crate::journal::{sweep_fingerprint_of, JournalReplay, RunJournal};
 use crate::report::{Disposition, RunReport, ScenarioRecord};
 use crate::shared::SharedInputs;
 use crate::spec::ScenarioSpec;
 use hpcgrid_timeseries::par::{default_threads, panic_message};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -101,12 +109,7 @@ impl<R> SweepOutcome<R> {
     pub fn expect_all(self, context: &str) -> Vec<R> {
         let n_failed = self.errors().count();
         if n_failed > 0 {
-            let mut lines: Vec<String> = self.errors().map(ScenarioError::to_string).collect();
-            lines.truncate(5);
-            panic!(
-                "{context}: {n_failed} scenario(s) failed:\n  {}",
-                lines.join("\n  ")
-            );
+            panic_with_failures(context, n_failed, self.errors());
         }
         self.results
             .into_iter()
@@ -135,16 +138,23 @@ impl<A> FoldOutcome<A> {
     /// failed.
     pub fn expect_all(self, context: &str) -> A {
         if !self.errors.is_empty() {
-            let mut lines: Vec<String> = self.errors.iter().map(ScenarioError::to_string).collect();
-            lines.truncate(5);
-            panic!(
-                "{context}: {} scenario(s) failed:\n  {}",
-                self.errors.len(),
-                lines.join("\n  ")
-            );
+            panic_with_failures(context, self.errors.len(), self.errors.iter());
         }
         self.value
     }
+}
+
+/// The `expect_all` failure summary: the count, then the first five errors.
+fn panic_with_failures<'e>(
+    context: &str,
+    n_failed: usize,
+    errors: impl Iterator<Item = &'e ScenarioError>,
+) -> ! {
+    let lines: Vec<String> = errors.take(5).map(ScenarioError::to_string).collect();
+    panic!(
+        "{context}: {n_failed} scenario(s) failed:\n  {}",
+        lines.join("\n  ")
+    );
 }
 
 /// Scenario orchestration engine entry point.
@@ -287,212 +297,42 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
     {
         let t0 = Instant::now();
-        let probes0 = self.cache.probe_stats();
-        let mut report = RunReport {
-            total: specs.len(),
-            ..RunReport::default()
+        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
+        let push = |share: &mut Vec<Resolved<R>>, done| {
+            share.push(done);
+            Ok(())
         };
-
-        // Phase 1 — cache consultation (sequential; lookups are cheap
-        // relative to scenario execution). Duplicate specs within one
-        // submission execute once; later occurrences alias the first slot.
-        let hashes: Vec<_> = specs.iter().map(ScenarioSpec::content_hash).collect();
-        let mut slots: Vec<Option<Result<R, ScenarioError>>> = Vec::with_capacity(specs.len());
-        let mut dispositions: Vec<Disposition> = Vec::with_capacity(specs.len());
-        // Indices (into `specs`) that must execute, and hash → executing slot.
-        let mut to_run: Vec<usize> = Vec::new();
-        let mut pending: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for (i, &key) in hashes.iter().enumerate() {
-            if pending.contains_key(&key) {
-                // Alias of an earlier miss in this same sweep.
-                slots.push(None);
-                dispositions.push(Disposition::MemoryHit);
-                report.memory_hits += 1;
-                continue;
-            }
-            match self.cache.get(key) {
-                Ok(Some((value, tier))) => {
-                    slots.push(Some(Ok(value)));
-                    let d = match tier {
-                        CacheTier::Memory => {
-                            report.memory_hits += 1;
-                            Disposition::MemoryHit
-                        }
-                        CacheTier::Artifact => {
-                            report.artifact_hits += 1;
-                            Disposition::ArtifactHit
-                        }
-                    };
-                    dispositions.push(d);
-                }
-                Ok(None) => {
-                    slots.push(None);
-                    dispositions.push(Disposition::Executed);
-                    pending.insert(key, i);
-                    to_run.push(i);
-                }
-                Err(err) => {
-                    // Corrupt artifact: recompute rather than fail the sweep,
-                    // but count it and log the path so a damaged artifact
-                    // directory does not degrade silently.
-                    report.cache_corrupt += 1;
-                    let path = self
-                        .cache
-                        .artifact_path_for(key)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|| "<no artifact dir>".to_string());
-                    eprintln!(
-                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        specs[i].label()
-                    );
-                    slots.push(None);
-                    dispositions.push(Disposition::Executed);
-                    pending.insert(key, i);
-                    to_run.push(i);
-                }
-            }
+        let (mut report, shares) = self.drive(specs, &hashes, &HashSet::new(), &f, Vec::new, &push);
+        let mut slots: Vec<Option<Resolved<R>>> = (0..specs.len()).map(|_| None).collect();
+        for done in shares.into_iter().flatten() {
+            let slot = done.slot;
+            slots[slot] = Some(done);
         }
-
-        // Phase 2 — execute the misses on a bounded work-stealing pool.
-        let workers = self
-            .config
-            .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() { 0 } else { workers };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
-        let chaos = Arc::clone(&self.chaos);
-        let next = AtomicUsize::new(0);
-        type Done<R> = (usize, Result<R, ScenarioError>, Duration, u32);
-        let done: Mutex<Vec<Done<R>>> = Mutex::new(Vec::with_capacity(to_run.len()));
-        let busy: Mutex<Vec<Duration>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let f = &f;
-                    let specs = &specs;
-                    let hashes = &hashes;
-                    let to_run = &to_run;
-                    let next = &next;
-                    let done = &done;
-                    let busy = &busy;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut local: Vec<Done<R>> = Vec::new();
-                        let mut my_busy = Duration::ZERO;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let slot = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                hashes[slot],
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            let wall = started.elapsed();
-                            my_busy += wall;
-                            local.push((slot, result, wall, attempts));
-                        }
-                        done.lock().expect("result mutex poisoned").extend(local);
-                        busy.lock().expect("busy mutex poisoned").push(my_busy);
-                    });
-                }
-            });
-        }
-        report.worker_busy = busy.into_inner().expect("busy mutex poisoned");
-
-        // Phase 3 — commit results: fill slots, populate the cache, resolve
-        // duplicate aliases, build records.
-        let mut exec_info: HashMap<usize, (Duration, u32)> = HashMap::new();
-        let mut computed = done.into_inner().expect("result mutex poisoned");
-        computed.sort_by_key(|(slot, ..)| *slot);
-        for (slot, result, wall, attempts) in computed {
-            report.executed += 1;
-            report.retries += attempts.saturating_sub(1);
-            match &result {
-                Ok(value) => {
-                    // Cache commit failures (disk full, permissions) don't
-                    // fail the scenario — the computed value is still
-                    // returned.
-                    let _ = self.cache.put(&specs[slot], value);
-                }
-                Err(e) => {
-                    report.failed += 1;
-                    if e.is_timeout() {
-                        report.timed_out += 1;
-                    }
-                }
-            }
-            exec_info.insert(slot, (wall, attempts));
-            slots[slot] = Some(result);
-        }
-
-        // Resolve duplicate aliases from the slot that executed (or was
-        // cached) for the same hash.
-        let mut by_hash: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for i in 0..specs.len() {
-            if slots[i].is_some() {
-                by_hash.entry(hashes[i]).or_insert(i);
-            }
-        }
-        for i in 0..specs.len() {
-            if slots[i].is_none() {
-                let src = by_hash
-                    .get(&hashes[i])
-                    .copied()
-                    .expect("every alias has an executed source slot");
-                let aliased = slots[src]
-                    .as_ref()
-                    .expect("source slot resolved in phase 3")
-                    .clone();
-                slots[i] = Some(aliased);
-            }
-        }
-
-        for (i, spec) in specs.iter().enumerate() {
-            let (wall, attempts) = exec_info.get(&i).copied().unwrap_or((Duration::ZERO, 0));
-            let failed = matches!(slots[i], Some(Err(_)));
+        // Duplicates copy their first occurrence's result, as memory hits.
+        let mut first: HashMap<ContentHash, usize> = HashMap::with_capacity(specs.len());
+        let mut results: Vec<Result<R, ScenarioError>> = Vec::with_capacity(specs.len());
+        for (i, (spec, &key)) in specs.iter().zip(&hashes).enumerate() {
+            let src = *first.entry(key).or_insert(i);
+            let (disposition, wall, attempts, result) = match slots[i].take() {
+                Some(done) => (done.disposition, done.wall, done.attempts, done.result),
+                None => (
+                    Disposition::MemoryHit,
+                    Duration::ZERO,
+                    0,
+                    results[src].clone(),
+                ),
+            };
+            results.push(result);
             report.scenarios.push(ScenarioRecord {
-                spec: hashes[i],
+                spec: key,
                 label: spec.label(),
-                disposition: if failed && exec_info.contains_key(&i) {
-                    Disposition::Failed
-                } else {
-                    dispositions[i]
-                },
+                disposition,
                 wall,
                 attempts,
             });
         }
-
-        let probes1 = self.cache.probe_stats();
-        report.index_probes = probes1.index_probes - probes0.index_probes;
-        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
         report.wall = t0.elapsed();
-        SweepOutcome {
-            results: slots
-                .into_iter()
-                .map(|s| s.expect("all slots resolved"))
-                .collect(),
-            report,
-        }
+        SweepOutcome { results, report }
     }
 
     /// Run a sweep as a streaming reduction: every successful result is
@@ -545,170 +385,32 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         Merge: Fn(A, A) -> A,
     {
         let t0 = Instant::now();
-        let probes0 = self.cache.probe_stats();
-        let mut report = RunReport {
-            total: specs.len(),
-            ..RunReport::default()
+        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
+        // Every share folds into an accumulator of its own: no lock, no
+        // serialization.
+        let share = || (Some(init.clone()), Vec::new());
+        let fold_share = |(acc, errors): &mut (Option<A>, Vec<ScenarioError>),
+                          done: Resolved<R>| {
+            match done.result {
+                Ok(value) => fold_into(acc, value, done.mult, &fold),
+                Err(e) => errors.push(e),
+            }
+            Ok(())
         };
-
-        // Phase 1 — cache consultation. Hits fold immediately (streaming:
-        // nothing is retained); misses are deduplicated, remembering each
-        // unique spec's multiplicity so duplicates still fold once per
-        // occurrence.
-        let mut acc = init.clone();
-        // Unique specs to execute: (index into `specs`, occurrence count).
-        let mut to_run: Vec<(usize, usize)> = Vec::new();
-        let mut pending: HashMap<crate::hash::ContentHash, usize> = HashMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = spec.content_hash();
-            if let Some(&run_idx) = pending.get(&key) {
-                to_run[run_idx].1 += 1;
-                report.memory_hits += 1;
-                continue;
-            }
-            match self.cache.get(key) {
-                Ok(Some((value, tier))) => {
-                    match tier {
-                        CacheTier::Memory => report.memory_hits += 1,
-                        CacheTier::Artifact => report.artifact_hits += 1,
-                    }
-                    acc = fold(acc, value);
-                }
-                Ok(None) => {
-                    pending.insert(key, to_run.len());
-                    to_run.push((i, 1));
-                }
-                Err(err) => {
-                    report.cache_corrupt += 1;
-                    let path = self
-                        .cache
-                        .artifact_path_for(key)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|| "<no artifact dir>".to_string());
-                    eprintln!(
-                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        spec.label()
-                    );
-                    pending.insert(key, to_run.len());
-                    to_run.push((i, 1));
-                }
-            }
+        let (mut report, shares) =
+            self.drive(specs, &hashes, &HashSet::new(), &f, share, &fold_share);
+        // The probe phase's share comes first, then the workers' in worker
+        // order, for what little determinism that buys a commutative monoid.
+        let mut shares = shares.into_iter();
+        let (acc, mut errors) = shares.next().expect("the probe phase's share");
+        let mut value = acc.expect("share accumulator present");
+        for (acc, errs) in shares {
+            value = merge(value, acc.expect("share accumulator present"));
+            errors.extend(errs);
         }
-
-        // Phase 2 — execute misses; each worker folds into its own
-        // accumulator and commits artifacts through a shared cache handle as
-        // it goes, so results are dropped the moment they are absorbed.
-        let workers = self
-            .config
-            .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() { 0 } else { workers };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
-        let chaos = Arc::clone(&self.chaos);
-        let next = AtomicUsize::new(0);
-        let cache = Mutex::new(&mut self.cache);
-        let errors: Mutex<Vec<ScenarioError>> = Mutex::new(Vec::new());
-        // (worker index, accumulator, executed, retries, busy) per worker.
-        type WorkerOut<A> = (usize, A, usize, u32, Duration);
-        let outputs: Mutex<Vec<WorkerOut<A>>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() {
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    let init = init.clone();
-                    let fold = &fold;
-                    let f = &f;
-                    let cache = &cache;
-                    let errors = &errors;
-                    let outputs = &outputs;
-                    let next = &next;
-                    let to_run = &to_run;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut my_acc = init;
-                        let mut my_busy = Duration::ZERO;
-                        let mut my_executed = 0usize;
-                        let mut my_retries = 0u32;
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let (slot, mult) = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                spec.content_hash(),
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            my_busy += started.elapsed();
-                            my_executed += 1;
-                            my_retries += attempts.saturating_sub(1);
-                            match result {
-                                Ok(value) => {
-                                    // Artifact commit failures don't fail
-                                    // the scenario (mirrors `run`).
-                                    let _ = cache
-                                        .lock()
-                                        .expect("cache mutex poisoned")
-                                        .put(spec, &value);
-                                    for _ in 1..mult {
-                                        my_acc = fold(my_acc, value.clone());
-                                    }
-                                    my_acc = fold(my_acc, value);
-                                }
-                                Err(e) => {
-                                    errors.lock().expect("error mutex poisoned").push(e);
-                                }
-                            }
-                        }
-                        outputs.lock().expect("output mutex poisoned").push((
-                            w,
-                            my_acc,
-                            my_executed,
-                            my_retries,
-                            my_busy,
-                        ));
-                    });
-                }
-            });
-        }
-
-        // Phase 3 — merge worker accumulators (in worker order, for what
-        // little determinism that buys a commutative monoid) and finish the
-        // report. (`cache`'s borrow of `self.cache` has ended by now, so the
-        // probe-stat reads below can take their own shared borrow.)
-        let mut outputs = outputs.into_inner().expect("output mutex poisoned");
-        outputs.sort_by_key(|(w, ..)| *w);
-        for (_, worker_acc, executed, retries, busy) in outputs {
-            acc = merge(acc, worker_acc);
-            report.executed += executed;
-            report.retries += retries;
-            report.worker_busy.push(busy);
-        }
-        let errors = errors.into_inner().expect("error mutex poisoned");
-        report.failed = errors.len();
-        report.timed_out = errors.iter().filter(|e| e.is_timeout()).count();
-        let probes1 = self.cache.probe_stats();
-        report.index_probes = probes1.index_probes - probes0.index_probes;
-        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
         report.wall = t0.elapsed();
         FoldOutcome {
-            value: acc,
+            value,
             errors,
             report,
         }
@@ -753,17 +455,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
         Fold: Fn(A, R) -> A + Sync,
     {
-        // Hash every spec exactly once: the fingerprint and the fold's
-        // bookkeeping share this pass (re-serializing specs dominates
-        // per-spec cost at population scale).
-        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
-        let journal = RunJournal::create(
-            journal_path.as_ref(),
-            sweep_fingerprint_of(&hashes),
-            specs.len(),
-            Arc::clone(&self.chaos),
-        )?;
-        self.journaled_fold_core(journal, specs, hashes, &HashSet::new(), f, fold, init)
+        self.fold_journaled(journal_path.as_ref(), None, specs, f, init, fold)
     }
 
     /// Continue an interrupted [`SweepRunner::run_fold_journaled`] from its
@@ -790,62 +482,22 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
         Fold: Fn(A, R) -> A + Sync,
     {
-        let path = journal_path.as_ref();
-        let replay = RunJournal::replay(path)?;
-        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
-        let fingerprint = sweep_fingerprint_of(&hashes);
-        if replay.fingerprint != fingerprint {
-            return Err(EngineError::Journal(format!(
-                "journal {} was written for a different sweep \
-                 (its fingerprint {} != this spec list's {})",
-                path.display(),
-                replay.fingerprint,
-                fingerprint
-            )));
-        }
-        // Restore the fold: latest checkpoint, then the journaled results
-        // appended after it, in journal order.
-        let (covered, mut acc) = match &replay.checkpoint {
-            Some((k, acc_value)) => (
-                *k,
-                A::from_value(acc_value).map_err(|e| {
-                    EngineError::Journal(format!(
-                        "checkpoint accumulator in {} does not deserialize: {e}",
-                        path.display()
-                    ))
-                })?,
-            ),
-            None => (0, init),
-        };
-        for (_, mult, value) in &replay.entries[covered..] {
-            let result = R::from_value(value).map_err(|e| {
-                EngineError::Journal(format!(
-                    "journaled result in {} does not deserialize: {e}",
-                    path.display()
-                ))
-            })?;
-            for _ in 0..*mult {
-                acc = fold(acc, result.clone());
-            }
-        }
-        let skip = replay.done_set();
-        let journal = RunJournal::open_append(path, replay.entries.len(), Arc::clone(&self.chaos))?;
-        self.journaled_fold_core(journal, specs, hashes, &skip, f, fold, acc)
+        let replay = RunJournal::replay(journal_path.as_ref())?;
+        self.fold_journaled(journal_path.as_ref(), Some(replay), specs, f, init, fold)
     }
 
-    /// Shared machinery of [`SweepRunner::run_fold_journaled`] and
-    /// [`SweepRunner::resume`]: fold everything not in `skip` into `acc0`,
-    /// journaling each completion through a single locked sink.
-    #[allow(clippy::too_many_arguments)]
-    fn journaled_fold_core<A, F, Fold>(
+    /// The journaled fold behind [`SweepRunner::run_fold_journaled`] (no
+    /// `replay`: start a fresh journal at `path`) and [`SweepRunner::resume`]
+    /// (restore the fold from `replay`, the journal's contents, and run only
+    /// what it does not cover).
+    fn fold_journaled<A, F, Fold>(
         &mut self,
-        journal: RunJournal,
+        path: &Path,
+        replay: Option<JournalReplay>,
         specs: &[ScenarioSpec],
-        hashes: Vec<ContentHash>,
-        skip: &HashSet<ContentHash>,
         f: F,
+        init: A,
         fold: Fold,
-        acc0: A,
     ) -> Result<FoldOutcome<A>, EngineError>
     where
         A: Send + Serialize + Deserialize,
@@ -853,198 +505,81 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         Fold: Fn(A, R) -> A + Sync,
     {
         let t0 = Instant::now();
-        let probes0 = self.cache.probe_stats();
-        let mut report = RunReport {
-            total: specs.len(),
-            ..RunReport::default()
-        };
-        let checkpoint_every = self.config.checkpoint_every.max(1);
-        let mut sink = FoldSink {
-            journal,
-            acc: Some(acc0),
-        };
-        let mut interrupted = false;
-
-        // Phase 1 — skip journaled scenarios, fold cache hits immediately
-        // (journaling them: the journal must cover every contribution to the
-        // fold), deduplicate misses with their submission multiplicities.
-        let mut counts: HashMap<ContentHash, u64> = HashMap::new();
-        for &h in &hashes {
-            *counts.entry(h).or_insert(0) += 1;
-        }
-        let mut to_run: Vec<(usize, u64)> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = hashes[i];
-            if !skip.is_empty() && skip.contains(&key) {
-                report.journal_replayed += 1;
-                continue;
-            }
-            // Removing the count doubles as the seen-set: a later
-            // occurrence of a spec already resolved or queued finds nothing.
-            let Some(mult) = counts.remove(&key) else {
-                report.memory_hits += 1;
-                continue;
-            };
-            match self.cache.get(key) {
-                Ok(Some((value, tier))) => {
-                    match tier {
-                        CacheTier::Memory => report.memory_hits += 1,
-                        CacheTier::Artifact => report.artifact_hits += 1,
-                    }
-                    if let Err(e) = absorb(&mut sink, key, mult, &value, &fold, checkpoint_every) {
-                        eprintln!(
-                            "hpcgrid-engine: run journal became unwritable: {e}; \
-                             stopping sweep (resume to finish)"
-                        );
-                        interrupted = true;
-                        break;
-                    }
-                }
-                Ok(None) => to_run.push((i, mult)),
-                Err(err) => {
-                    report.cache_corrupt += 1;
-                    let path = self
-                        .cache
-                        .artifact_path_for(key)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|| "<no artifact dir>".to_string());
-                    eprintln!(
-                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
-                        spec.label()
-                    );
-                    to_run.push((i, mult));
-                }
-            }
-        }
-
-        // Phase 2 — execute misses; workers commit artifacts through the
-        // shared cache handle, then journal + fold through the sink. Lock
-        // order is always cache before sink. A fired crash failpoint (or a
-        // journal write failure) raises `stop`, and every worker breaks
-        // before its next commit — simulating process death at a commit
-        // point.
-        let workers = self
-            .config
-            .threads
-            .unwrap_or_else(|| default_threads(to_run.len()))
-            .max(1)
-            .min(to_run.len().max(1));
-        report.workers = if to_run.is_empty() || interrupted {
-            0
-        } else {
-            workers
-        };
-        let retry = self.config.retry;
-        let deadline = self.config.deadline;
-        let shared = Arc::clone(&self.shared);
+        let hashes: Vec<ContentHash> = specs.iter().map(ScenarioSpec::content_hash).collect();
+        let fingerprint = sweep_fingerprint_of(&hashes);
         let chaos = Arc::clone(&self.chaos);
-        let next = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let cache = Mutex::new(&mut self.cache);
-        let sink = Mutex::new(sink);
-        let errors: Mutex<Vec<ScenarioError>> = Mutex::new(Vec::new());
-        // (executed, retries, busy) per worker.
-        type WorkerMeta = (usize, u32, Duration);
-        let metas: Mutex<Vec<WorkerMeta>> = Mutex::new(Vec::with_capacity(workers));
-        if !to_run.is_empty() && !interrupted {
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let f = &f;
-                    let fold = &fold;
-                    let specs = &specs;
-                    let hashes = &hashes;
-                    let to_run = &to_run;
-                    let next = &next;
-                    let stop = &stop;
-                    let cache = &cache;
-                    let sink = &sink;
-                    let errors = &errors;
-                    let metas = &metas;
-                    let shared = &shared;
-                    let chaos = &chaos;
-                    s.spawn(move || {
-                        let mut my_busy = Duration::ZERO;
-                        let mut my_executed = 0usize;
-                        let mut my_retries = 0u32;
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            if k >= to_run.len() {
-                                break;
-                            }
-                            let (slot, mult) = to_run[k];
-                            let spec = &specs[slot];
-                            let ctx = ScenarioCtx {
-                                spec,
-                                seed: spec.derived_seed(),
-                                shared,
-                            };
-                            let started = Instant::now();
-                            let (result, attempts) = execute_with_retries(
-                                s,
-                                f,
-                                ctx,
-                                hashes[slot],
-                                retry,
-                                chaos,
-                                deadline,
-                            );
-                            my_busy += started.elapsed();
-                            my_executed += 1;
-                            my_retries += attempts.saturating_sub(1);
-                            match result {
-                                Ok(value) => {
-                                    let _ = cache
-                                        .lock()
-                                        .expect("cache mutex poisoned")
-                                        .put(spec, &value);
-                                    if chaos.fire(sites::SWEEP_CRASH).is_some() {
-                                        // Simulated process death between
-                                        // compute and commit: the result is
-                                        // dropped un-journaled, exactly what
-                                        // a kill here would lose.
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                    let mut sink = sink.lock().expect("sink mutex poisoned");
-                                    if let Err(e) = absorb(
-                                        &mut sink,
-                                        hashes[slot],
-                                        mult,
-                                        &value,
-                                        fold,
-                                        checkpoint_every,
-                                    ) {
-                                        eprintln!(
-                                            "hpcgrid-engine: run journal became unwritable: {e}; \
-                                             stopping sweep (resume to finish)"
-                                        );
-                                        stop.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                                Err(e) => {
-                                    errors.lock().expect("error mutex poisoned").push(e);
-                                }
-                            }
-                        }
-                        metas.lock().expect("meta mutex poisoned").push((
-                            my_executed,
-                            my_retries,
-                            my_busy,
-                        ));
-                    });
+        let (journal, acc, skip) = match replay {
+            None => {
+                let journal =
+                    RunJournal::create(path, fingerprint, specs.len(), Arc::clone(&chaos))?;
+                (journal, init, HashSet::new())
+            }
+            Some(replay) => {
+                if replay.fingerprint != fingerprint {
+                    return Err(EngineError::Journal(format!(
+                        "journal {} was written for a different sweep \
+                         (its fingerprint {} != this spec list's {})",
+                        path.display(),
+                        replay.fingerprint,
+                        fingerprint
+                    )));
                 }
-            });
-        }
-        interrupted = interrupted || stop.load(Ordering::Relaxed);
-
-        // Phase 3 — close out the journal and the report.
+                let undecodable = |what: &str, e: DeError| {
+                    EngineError::Journal(format!(
+                        "{what} in {} does not deserialize: {e}",
+                        path.display()
+                    ))
+                };
+                // Restore the fold: latest checkpoint, then the journaled
+                // results appended after it, in journal order.
+                let (covered, mut acc) = match &replay.checkpoint {
+                    Some((k, acc_value)) => (
+                        *k,
+                        A::from_value(acc_value)
+                            .map_err(|e| undecodable("checkpoint accumulator", e))?,
+                    ),
+                    None => (0, init),
+                };
+                for (_, mult, value) in &replay.entries[covered..] {
+                    let result =
+                        R::from_value(value).map_err(|e| undecodable("journaled result", e))?;
+                    for _ in 0..*mult {
+                        acc = fold(acc, result.clone());
+                    }
+                }
+                let done = replay.entries.len();
+                let journal = RunJournal::open_append(path, done, Arc::clone(&chaos))?;
+                (journal, acc, replay.done_set())
+            }
+        };
+        let sink = Mutex::new(FoldSink {
+            journal,
+            acc: Some(acc),
+            errors: Vec::new(),
+        });
+        let every = self.config.checkpoint_every.max(1);
+        let absorb = |_: &mut (), done: Resolved<R>| {
+            let mut sink = sink.lock().expect("sink mutex poisoned");
+            let value = match done.result {
+                Ok(value) => value,
+                Err(e) => {
+                    sink.errors.push(e);
+                    return Ok(());
+                }
+            };
+            if done.disposition == Disposition::Executed && chaos.fire(sites::SWEEP_CRASH).is_some()
+            {
+                // Simulated process death between compute and commit: the
+                // result is dropped un-journaled, exactly what a kill here
+                // would lose.
+                return Err(Halt);
+            }
+            sink.absorb(done.key, done.mult, value, &fold, every)
+        };
+        let (mut report, _) = self.drive(specs, &hashes, &skip, &f, || (), &absorb);
         let mut sink = sink.into_inner().expect("sink mutex poisoned");
         let acc = sink.acc.take().expect("sink accumulator present");
-        if interrupted {
+        if report.interrupted {
             // Best-effort flush: everything journaled so far is resumable.
             let _ = sink.journal.flush();
         } else {
@@ -1053,67 +588,295 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
             let done = sink.journal.done_count();
             if let Err(e) = sink.journal.append_checkpoint(done, &acc.to_value()) {
                 eprintln!("hpcgrid-engine: final journal checkpoint failed: {e}");
-                interrupted = true;
+                report.interrupted = true;
             }
         }
-        report.interrupted = interrupted;
-        for (executed, retries, busy) in metas.into_inner().expect("meta mutex poisoned") {
-            report.executed += executed;
-            report.retries += retries;
-            report.worker_busy.push(busy);
-        }
-        let errors = errors.into_inner().expect("error mutex poisoned");
-        report.failed = errors.len();
-        report.timed_out = errors.iter().filter(|e| e.is_timeout()).count();
-        let probes1 = self.cache.probe_stats();
-        report.index_probes = probes1.index_probes - probes0.index_probes;
-        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
         report.wall = t0.elapsed();
         Ok(FoldOutcome {
             value: acc,
-            errors,
+            errors: sink.errors,
             report,
         })
     }
+
+    /// The sweep driver behind every entry point: probe, execute, commit,
+    /// count. `hashes[i]` is `specs[i].content_hash()`; specs in `skip` are
+    /// already journaled and only counted. Each distinct spec is resolved
+    /// once, at its first occurrence, with its multiplicity; later
+    /// occurrences count as memory hits.
+    ///
+    /// The sink is `share`, which makes one share for the probe phase's hits
+    /// and then one per pool worker, and `commit`, which hands a resolved
+    /// scenario to a share on that share's own thread (an `Err(Halt)` stops
+    /// the sweep). The shares come back in that order, and the caller merges
+    /// them and sets `wall`.
+    fn drive<F, W, Share, Commit>(
+        &mut self,
+        specs: &[ScenarioSpec],
+        hashes: &[ContentHash],
+        skip: &HashSet<ContentHash>,
+        f: &F,
+        mut share: Share,
+        commit: &Commit,
+    ) -> (RunReport, Vec<W>)
+    where
+        F: Fn(ScenarioCtx<'_>) -> Result<R, String> + Sync,
+        W: Send,
+        Share: FnMut() -> W,
+        Commit: Fn(&mut W, Resolved<R>) -> Result<(), Halt> + Sync,
+    {
+        let probes0 = self.cache.probe_stats();
+        let mut report = RunReport {
+            total: specs.len(),
+            ..RunReport::default()
+        };
+
+        // Probe (sequential; lookups are cheap relative to execution). Hits
+        // commit to a share of their own; misses queue with their
+        // multiplicities.
+        let mut counts: HashMap<ContentHash, u64> = HashMap::with_capacity(specs.len());
+        for &key in hashes {
+            *counts.entry(key).or_insert(0) += 1;
+        }
+        let mut to_run: Vec<(usize, u64)> = Vec::new();
+        let mut probe = share();
+        for (slot, &key) in hashes.iter().enumerate() {
+            if !skip.is_empty() && skip.contains(&key) {
+                report.journal_replayed += 1;
+                continue;
+            }
+            // Removing the count doubles as the seen-set: a later occurrence
+            // of a spec already resolved or queued finds nothing.
+            let Some(mult) = counts.remove(&key) else {
+                report.memory_hits += 1;
+                continue;
+            };
+            let (value, tier) = match self.cache.get(key) {
+                Ok(Some(hit)) => hit,
+                Ok(None) => {
+                    to_run.push((slot, mult));
+                    continue;
+                }
+                Err(err) => {
+                    // Corrupt artifact: recompute rather than fail the sweep,
+                    // but count it and log the path so a damaged artifact
+                    // directory does not degrade silently.
+                    report.cache_corrupt += 1;
+                    let path = self
+                        .cache
+                        .artifact_path_for(key)
+                        .map(|p| p.display().to_string())
+                        .unwrap_or_else(|| "<no artifact dir>".to_string());
+                    eprintln!(
+                        "hpcgrid-engine: corrupt cache artifact for scenario `{}` at {path}: {err}; recomputing",
+                        specs[slot].label()
+                    );
+                    to_run.push((slot, mult));
+                    continue;
+                }
+            };
+            let hit = Resolved {
+                slot,
+                key,
+                mult,
+                disposition: match tier {
+                    CacheTier::Memory => Disposition::MemoryHit,
+                    CacheTier::Artifact => Disposition::ArtifactHit,
+                },
+                result: Ok(value),
+                wall: Duration::ZERO,
+                attempts: 0,
+            };
+            hit.tally(&mut report);
+            if commit(&mut probe, hit).is_err() {
+                report.interrupted = true;
+                to_run.clear();
+                break;
+            }
+        }
+        let mut shares = vec![probe];
+
+        // Execute the misses on a bounded work-stealing pool: each result is
+        // committed to the cache, then to the worker's share. A commit that
+        // halts (a fired crash failpoint, an unwritable journal) raises
+        // `stop`, and every worker breaks before its next scenario —
+        // simulating process death at a commit point.
+        let workers = self
+            .config
+            .threads
+            .unwrap_or_else(|| default_threads(to_run.len()))
+            .max(1)
+            .min(to_run.len().max(1));
+        if !to_run.is_empty() {
+            report.workers = workers;
+            let (retry, deadline) = (self.config.retry, self.config.deadline);
+            let (shared, chaos) = (&*self.shared, &*self.chaos);
+            let (next, stop) = (&AtomicUsize::new(0), &AtomicBool::new(false));
+            let (to_run, cache) = (&to_run, &Mutex::new(&mut self.cache));
+            let joined: Vec<(W, RunReport, Duration)> = std::thread::scope(|s| {
+                let work = move |mut mine: W| {
+                    let (mut tally, mut busy) = (RunReport::default(), Duration::ZERO);
+                    while !stop.load(Ordering::Relaxed) {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(slot, mult)) = to_run.get(k) else {
+                            break;
+                        };
+                        let (spec, key) = (&specs[slot], hashes[slot]);
+                        let seed = spec.seed_from_hash(key);
+                        let ctx = ScenarioCtx { spec, seed, shared };
+                        let started = Instant::now();
+                        let (result, attempts) =
+                            execute_with_retries(s, f, ctx, key, retry, chaos, deadline);
+                        let wall = started.elapsed();
+                        busy += wall;
+                        if let Ok(value) = &result {
+                            // Cache commit failures (disk full, permissions)
+                            // don't fail the scenario.
+                            let _ = cache
+                                .lock()
+                                .expect("cache mutex poisoned")
+                                .put_keyed(key, spec, value);
+                        }
+                        let done = Resolved {
+                            slot,
+                            key,
+                            mult,
+                            disposition: match result {
+                                Ok(_) => Disposition::Executed,
+                                Err(_) => Disposition::Failed,
+                            },
+                            result,
+                            wall,
+                            attempts,
+                        };
+                        done.tally(&mut tally);
+                        if commit(&mut mine, done).is_err() {
+                            stop.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                    }
+                    (mine, tally, busy)
+                };
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let mine = share();
+                        s.spawn(move || work(mine))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("sweep worker panicked"))
+                    .collect()
+            });
+            for (mine, tally, busy) in joined {
+                report.executed += tally.executed;
+                report.failed += tally.failed;
+                report.timed_out += tally.timed_out;
+                report.retries += tally.retries;
+                report.worker_busy.push(busy);
+                shares.push(mine);
+            }
+            report.interrupted |= stop.load(Ordering::Relaxed);
+        }
+        let probes1 = self.cache.probe_stats();
+        report.index_probes = probes1.index_probes - probes0.index_probes;
+        report.disk_reads = probes1.disk_reads - probes0.disk_reads;
+        (report, shares)
+    }
 }
 
-/// The single folding sink of a journaled fold: completed results append to
-/// the journal and fold into the accumulator under one lock, so the journal
-/// is always a faithful prefix of the fold.
+/// A commit's request that the sweep stop early: a simulated crash fired,
+/// or the run journal became unwritable.
+struct Halt;
+
+/// One resolved scenario — a cache hit or an execution — as the driver
+/// commits it to a sink share.
+struct Resolved<R> {
+    /// Submission index of the spec's first occurrence.
+    slot: usize,
+    key: ContentHash,
+    /// Occurrences of the spec in the submission.
+    mult: u64,
+    disposition: Disposition,
+    result: Result<R, ScenarioError>,
+    /// Execution wall time (zero for hits).
+    wall: Duration,
+    /// Attempts made (zero for hits).
+    attempts: u32,
+}
+
+impl<R> Resolved<R> {
+    /// Count this scenario into `report`'s tier, execution and failure
+    /// counters.
+    fn tally(&self, report: &mut RunReport) {
+        match self.disposition {
+            Disposition::MemoryHit => report.memory_hits += 1,
+            Disposition::ArtifactHit => report.artifact_hits += 1,
+            Disposition::Executed | Disposition::Failed => report.executed += 1,
+        }
+        report.retries += self.attempts.saturating_sub(1);
+        if let Err(e) = &self.result {
+            report.failed += 1;
+            report.timed_out += usize::from(e.is_timeout());
+        }
+    }
+}
+
+/// Fold `value` into `acc` once per submission occurrence (`mult` ≥ 1).
+fn fold_into<A, R: Clone>(acc: &mut Option<A>, value: R, mult: u64, fold: &impl Fn(A, R) -> A) {
+    let mut a = acc.take().expect("accumulator present");
+    for _ in 1..mult {
+        a = fold(a, value.clone());
+    }
+    *acc = Some(fold(a, value));
+}
+
+/// The single folding sink of a journaled fold: resolved scenarios append
+/// to the journal and fold into the accumulator under one lock, so the
+/// journal is always a faithful prefix of the fold.
 struct FoldSink<A> {
     journal: RunJournal,
     /// `Option` so the fold closure can take the accumulator by value.
     acc: Option<A>,
+    errors: Vec<ScenarioError>,
 }
 
-/// Journal one completed scenario and fold it into the sink's accumulator
-/// (once per submission occurrence), checkpointing at the configured
-/// cadence.
-fn absorb<A, R, Fold>(
-    sink: &mut FoldSink<A>,
-    key: ContentHash,
-    mult: u64,
-    value: &R,
-    fold: &Fold,
-    checkpoint_every: usize,
-) -> Result<(), EngineError>
-where
-    A: Serialize,
-    R: Clone + Serialize,
-    Fold: Fn(A, R) -> A,
-{
-    sink.journal.append_done(key, mult, &value.to_value())?;
-    let mut acc = sink.acc.take().expect("sink accumulator present");
-    for _ in 0..mult {
-        acc = fold(acc, value.clone());
+impl<A: Serialize> FoldSink<A> {
+    /// Journal one resolved scenario and fold it in once per submission
+    /// occurrence, checkpointing at the configured cadence. A journal that
+    /// cannot be written halts the sweep.
+    fn absorb<R, Fold>(
+        &mut self,
+        key: ContentHash,
+        mult: u64,
+        value: R,
+        fold: &Fold,
+        checkpoint_every: usize,
+    ) -> Result<(), Halt>
+    where
+        R: Clone + Serialize,
+        Fold: Fn(A, R) -> A,
+    {
+        let journaled = self
+            .journal
+            .append_done(key, mult, &value.to_value())
+            .and_then(|()| {
+                fold_into(&mut self.acc, value, mult, fold);
+                let done = self.journal.done_count();
+                if !done.is_multiple_of(checkpoint_every) {
+                    return Ok(());
+                }
+                let acc = self.acc.as_ref().expect("sink accumulator present");
+                self.journal.append_checkpoint(done, &acc.to_value())
+            });
+        journaled.map_err(|e| {
+            eprintln!(
+                "hpcgrid-engine: run journal became unwritable: {e}; \
+                 stopping sweep (resume to finish)"
+            );
+            Halt
+        })
     }
-    sink.acc = Some(acc);
-    if sink.journal.done_count().is_multiple_of(checkpoint_every) {
-        let acc_value = sink.acc.as_ref().expect("just replaced").to_value();
-        let done = sink.journal.done_count();
-        sink.journal.append_checkpoint(done, &acc_value)?;
-    }
-    Ok(())
 }
 
 /// How one attempt of a scenario closure ended.

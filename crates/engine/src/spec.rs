@@ -168,7 +168,13 @@ impl ScenarioSpec {
     /// folded with the trace seed. Identical specs always simulate with the
     /// same randomness, including across retries and processes.
     pub fn derived_seed(&self) -> u64 {
-        self.content_hash().fold_u64() ^ self.trace_seed.rotate_left(17)
+        self.seed_from_hash(self.content_hash())
+    }
+
+    /// [`ScenarioSpec::derived_seed`] from an already-computed content hash,
+    /// so a driver that hashed the spec once need not hash it again.
+    pub(crate) fn seed_from_hash(&self, hash: ContentHash) -> u64 {
+        hash.fold_u64() ^ self.trace_seed.rotate_left(17)
     }
 
     /// Short human label: experiment plus the varied parameters.
@@ -401,6 +407,17 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.content_hash(), b.content_hash());
         assert_eq!(a.derived_seed(), b.derived_seed());
+    }
+
+    #[test]
+    fn seed_from_hash_matches_derived_seed() {
+        let s = spec();
+        assert_eq!(s.seed_from_hash(s.content_hash()), s.derived_seed());
+        let other = ScenarioSpec::builder("demo").trace_seed(8).build();
+        assert_eq!(
+            other.seed_from_hash(other.content_hash()),
+            other.derived_seed()
+        );
     }
 
     #[test]
