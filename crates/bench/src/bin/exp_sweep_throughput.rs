@@ -8,17 +8,17 @@
 //! `BENCH_sweep.json` so the baseline is committed next to the code it
 //! describes.
 //!
-//! Four quantities the PRs behind this bench claim:
+//! Four quantities the PRs behind this bench measure:
 //!
 //! * **cold vs warm scenarios/sec** — cold executes every scenario and
 //!   writes its artifact; warm is a fresh process-equivalent (new runner,
 //!   same artifact dir) that serves the entire sweep from the artifact tier
 //!   with zero executions;
 //! * **probe latency, index vs filesystem** — a miss/hit probe answered by
-//!   the in-memory artifact index (one `HashMap` lookup) against the
-//!   pre-index behaviour of `stat`ing every candidate path;
-//! * **artifact bytes, binary vs JSON** — the same sweep persisted under
-//!   both encodings;
+//!   the in-memory artifact index (one `HashSet` lookup) against the
+//!   pre-index behaviour of `stat`ing the key's artifact path;
+//! * **artifact bytes** — on-disk bytes of the binary artifacts the cold
+//!   pass wrote, in total and per scenario;
 //! * **journal overhead** — the warm artifact-served fold with every
 //!   completion journaled (`run_fold_journaled`) against the plain warm
 //!   fold, best of three each; crash safety must cost at most a few
@@ -28,17 +28,15 @@
 //!
 //! Correctness gates run before any timing: the warm artifact-served sweep
 //! must reproduce the cold aggregate bit-identically (order-insensitive
-//! checksum), under both artifact formats. Floors are asserted in release
-//! builds only.
+//! checksum) with zero re-executions. Floors are asserted in release builds
+//! only.
 //!
 //! `HPCGRID_SWEEP_SCENARIOS` overrides the sweep size (CI smoke runs at
 //! 5 000); `HPCGRID_BENCH_OUT` overrides the output path.
 
 use hpcgrid_bench::scenarios::*;
 use hpcgrid_bench::table::TextTable;
-use hpcgrid_engine::{
-    ArtifactFormat, ResultCache, ScenarioCtx, ScenarioSpec, SharedInputs, SweepRunner,
-};
+use hpcgrid_engine::{ResultCache, ScenarioCtx, ScenarioSpec, SharedInputs, SweepRunner};
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries};
 use hpcgrid_units::Power;
 use std::path::Path;
@@ -51,9 +49,6 @@ const DEFAULT_SCENARIOS: usize = 100_000;
 const GATE_SCENARIOS: usize = 64;
 /// Release floor: index probes must beat filesystem stat probes by this.
 const FLOOR_PROBE_SPEEDUP: f64 = 5.0;
-/// Release floor: JSON artifacts must weigh at least this much more than
-/// binary ones for the same sweep.
-const FLOOR_BYTES_RATIO: f64 = 2.0;
 /// Release floor: warm (artifact-served) sweep throughput, scenarios/sec.
 const FLOOR_WARM_SCENARIOS_PER_SEC: f64 = 20_000.0;
 /// Release ceiling: journaling a warm sweep may slow it by at most this
@@ -127,7 +122,6 @@ fn main() {
     let base = std::env::temp_dir().join(format!("hpcgrid-x8-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let bin_dir = base.join("bin");
-    let json_dir = base.join("json");
 
     // Shared substrate: one metered load and one market strip, registered
     // once in the zero-copy registry every scenario reads through.
@@ -166,50 +160,37 @@ fn main() {
 
     // Correctness gate first: a fresh runner over a freshly written artifact
     // dir must serve the whole gate sweep with zero executions and a
-    // bit-identical aggregate, under both artifact formats.
+    // bit-identical aggregate.
     let gate_specs = sweep_specs(GATE_SCENARIOS);
-    let mut gate_aggs: Vec<Agg> = Vec::new();
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = base.join(format!("gate-{}", format.label()));
-        let mut cold = SweepRunner::with_artifact_dir_and_format(&dir, format)
-            .expect("gate cache dir is creatable")
-            .shared_inputs(shared.clone());
-        let (written, _) = run_pass(&mut cold, &gate_specs);
-        let written = written.expect_all("gate cold sweep");
-        let mut warm = SweepRunner::with_artifact_dir_and_format(&dir, format)
-            .expect("gate cache dir reopens")
-            .shared_inputs(shared.clone());
-        let (served, _) = run_pass(&mut warm, &gate_specs);
-        assert_eq!(
-            served.report.executed,
-            0,
-            "{} gate: second run must be fully artifact-served",
-            format.label()
-        );
-        let served = served.expect_all("gate warm sweep");
-        assert_eq!(
-            written.checksum,
-            served.checksum,
-            "{} gate: artifact round trip must be bit-identical",
-            format.label()
-        );
-        gate_aggs.push(served);
-    }
+    let gate_dir = base.join("gate");
+    let mut cold = SweepRunner::with_artifact_dir(&gate_dir)
+        .expect("gate cache dir is creatable")
+        .shared_inputs(shared.clone());
+    let (written, _) = run_pass(&mut cold, &gate_specs);
+    let written = written.expect_all("gate cold sweep");
+    let mut warm = SweepRunner::with_artifact_dir(&gate_dir)
+        .expect("gate cache dir reopens")
+        .shared_inputs(shared.clone());
+    let (served, _) = run_pass(&mut warm, &gate_specs);
     assert_eq!(
-        gate_aggs[0].checksum, gate_aggs[1].checksum,
-        "gate: binary and JSON artifacts must decode to bit-identical results"
+        served.report.executed, 0,
+        "gate: second run must be fully artifact-served"
+    );
+    let served = served.expect_all("gate warm sweep");
+    assert_eq!(
+        written.checksum, served.checksum,
+        "gate: artifact round trip must be bit-identical"
     );
     println!(
-        "correctness: {GATE_SCENARIOS} scenarios round-trip bit-identical through binary and \
-         JSON artifacts, zero re-executions\n"
+        "correctness: {GATE_SCENARIOS} scenarios round-trip bit-identical through binary \
+         artifacts, zero re-executions\n"
     );
 
     // Cold pass: every scenario executes and persists a binary artifact.
     let specs = sweep_specs(n);
-    let mut cold_runner =
-        SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir is creatable")
-            .shared_inputs(shared.clone());
+    let mut cold_runner = SweepRunner::with_artifact_dir(&bin_dir)
+        .expect("artifact dir is creatable")
+        .shared_inputs(shared.clone());
     let (cold_outcome, cold_s) = run_pass(&mut cold_runner, &specs);
     assert_eq!(
         cold_outcome.report.executed, n,
@@ -221,10 +202,9 @@ fn main() {
     // Warm pass: a fresh runner (index rebuilt by one walk at open) serves
     // the identical sweep entirely from the artifact tier.
     let t_open = Instant::now();
-    let mut warm_runner =
-        SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens")
-            .shared_inputs(shared.clone());
+    let mut warm_runner = SweepRunner::with_artifact_dir(&bin_dir)
+        .expect("artifact dir reopens")
+        .shared_inputs(shared.clone());
     let index_build_s = t_open.elapsed().as_secs_f64();
     let (warm_outcome, warm_s) = run_pass(&mut warm_runner, &specs);
     let warm_report = warm_outcome.report.clone();
@@ -248,7 +228,7 @@ fn main() {
     let mut journaled_best = f64::INFINITY;
     let mut journaled_agg = Agg::default();
     for _ in 0..3 {
-        let mut plain = SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
+        let mut plain = SweepRunner::with_artifact_dir(&bin_dir)
             .expect("artifact dir reopens for plain timing")
             .shared_inputs(shared.clone());
         let (plain_outcome, plain_s) = run_pass(&mut plain, &specs);
@@ -259,10 +239,9 @@ fn main() {
         plain_best = plain_best.min(plain_s);
 
         let _ = std::fs::remove_file(&journal_path);
-        let mut journaled =
-            SweepRunner::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-                .expect("artifact dir reopens for journaled timing")
-                .shared_inputs(shared.clone());
+        let mut journaled = SweepRunner::with_artifact_dir(&bin_dir)
+            .expect("artifact dir reopens for journaled timing")
+            .shared_inputs(shared.clone());
         let t = Instant::now();
         let outcome = journaled
             .run_fold_journaled(&journal_path, &specs, &scenario, Agg::default(), fold)
@@ -307,11 +286,10 @@ fn main() {
         .unwrap_or(0);
 
     // Probe latency: a fresh cache (index populated by the open walk,
-    // memory tier empty) answers presence probes from the index; the legacy
-    // path stats candidate files. Same keys for both.
+    // memory tier empty) answers presence probes from the index; the
+    // pre-index probe stats each key's artifact path. Same keys for both.
     let mut probe_cache: ResultCache<f64> =
-        ResultCache::with_artifact_dir_and_format(&bin_dir, ArtifactFormat::Binary)
-            .expect("artifact dir reopens for probing");
+        ResultCache::with_artifact_dir(&bin_dir).expect("artifact dir reopens for probing");
     let keys: Vec<_> = specs.iter().map(|s| s.content_hash()).collect();
     let t_idx = Instant::now();
     let mut index_found = 0_usize;
@@ -337,22 +315,8 @@ fn main() {
     );
     let probe_speedup = stat_ns / index_ns.max(1e-9);
 
-    // Artifact weight: rerun the sweep under JSON into a sibling dir and
-    // compare on-disk bytes.
-    let mut json_runner =
-        SweepRunner::with_artifact_dir_and_format(&json_dir, ArtifactFormat::Json)
-            .expect("json dir is creatable")
-            .shared_inputs(shared.clone());
-    let (json_outcome, json_cold_s) = run_pass(&mut json_runner, &specs);
-    let json_agg = json_outcome.expect_all("json sweep");
-    assert_eq!(
-        cold_agg.checksum, json_agg.checksum,
-        "json aggregate must be bit-identical to the binary one"
-    );
-    drop(json_runner);
     let bin_bytes = dir_bytes(&bin_dir);
-    let json_bytes = dir_bytes(&json_dir);
-    let bytes_ratio = json_bytes as f64 / bin_bytes.max(1) as f64;
+    let bytes_per_scenario = bin_bytes as f64 / n as f64;
 
     let cold_rate = n as f64 / cold_s;
     let warm_rate = n as f64 / warm_s;
@@ -375,12 +339,6 @@ fn main() {
         format!("{:.0}", n as f64 / journaled_best),
         "0".into(),
     ]);
-    t.row(vec![
-        "cold json (execute + persist)".into(),
-        format!("{json_cold_s:.2}"),
-        format!("{:.0}", n as f64 / json_cold_s),
-        n.to_string(),
-    ]);
     println!("{}", t.render());
     println!(
         "journal: {journal_overhead_pct:+.1}% over plain warm ({plain_best:.2} s -> \
@@ -392,7 +350,7 @@ fn main() {
          {stat_ns:.0} ns stat ({probe_speedup:.1}x)"
     );
     println!(
-        "artifacts: {bin_bytes} bytes binary vs {json_bytes} bytes json ({bytes_ratio:.2}x); \
+        "artifacts: {bin_bytes} bytes binary ({bytes_per_scenario:.1} per scenario); \
          warm probes {} index / {} disk reads\n",
         warm_report.index_probes, warm_report.disk_reads
     );
@@ -422,8 +380,7 @@ fn main() {
     });
     let bytes_json = serde_json::json!({
         "binary": bin_bytes,
-        "json": json_bytes,
-        "ratio": bytes_ratio,
+        "per_scenario": bytes_per_scenario,
     });
     let journal_json = serde_json::json!({
         "plain_warm_seconds": plain_best,
@@ -436,7 +393,6 @@ fn main() {
     });
     let floors_json = serde_json::json!({
         "probe_speedup": FLOOR_PROBE_SPEEDUP,
-        "bytes_ratio": FLOOR_BYTES_RATIO,
         "warm_scenarios_per_sec": FLOOR_WARM_SCENARIOS_PER_SEC,
         "journal_overhead_pct_max": CEILING_JOURNAL_OVERHEAD_PCT,
     });
@@ -451,7 +407,6 @@ fn main() {
         "probe": probe_json,
         "journal": journal_json,
         "artifact_bytes": bytes_json,
-        "json_cold_seconds": json_cold_s,
         "floors": floors_json,
         "env": env_json,
         "optimized_build": cfg!(not(debug_assertions)),
@@ -469,10 +424,6 @@ fn main() {
         assert!(
             probe_speedup >= FLOOR_PROBE_SPEEDUP,
             "index probe speedup {probe_speedup:.1}x below the {FLOOR_PROBE_SPEEDUP:.0}x floor"
-        );
-        assert!(
-            bytes_ratio >= FLOOR_BYTES_RATIO,
-            "binary artifacts only {bytes_ratio:.2}x smaller than JSON, floor {FLOOR_BYTES_RATIO:.1}x"
         );
         assert!(
             warm_rate >= FLOOR_WARM_SCENARIOS_PER_SEC,

@@ -182,10 +182,9 @@ pub fn experiment_spec(experiment: &str, trace_seed: u64) -> ScenarioSpecBuilder
 
 /// A sweep runner for experiment binaries. Honours `HPCGRID_SWEEP_CACHE`:
 /// when set, results persist as content-addressed artifacts under that
-/// directory (compact checksummed binary by default;
-/// `HPCGRID_SWEEP_ARTIFACT_FORMAT=json` keeps the legacy JSON encoding) and
-/// re-runs only compute the delta; otherwise the cache is in-memory (still
-/// deduplicates within one process).
+/// directory (compact checksummed binary) and re-runs only compute the
+/// delta; otherwise the cache is in-memory (still deduplicates within one
+/// process).
 pub fn experiment_runner<R>() -> SweepRunner<R>
 where
     R: Clone + Send + serde::Serialize + serde::Deserialize,

@@ -505,6 +505,11 @@ impl BillAccrual {
     }
 
     /// Fold one sample at the next grid instant (the fleet tick path).
+    ///
+    /// Before touching any state it rejects, in this order, a sample that
+    /// runs past the compiled horizon and a sample whose power is NaN or
+    /// infinite (one such sample would make every later bill of this
+    /// accrual non-finite).
     pub fn push_next(&mut self, power: Power) -> Result<()> {
         if self.poison_next {
             self.poison_next = false;
@@ -512,12 +517,10 @@ impl BillAccrual {
         }
         let t = self.start + self.n * self.step;
         if t + self.step > self.kernel.end.as_secs() {
-            return Err(CoreError::BadSeries(format!(
-                "sample [{}, {}) runs past the compiled horizon end {}",
-                SimTime::from_secs(t),
-                SimTime::from_secs(t + self.step),
-                self.kernel.end
-            )));
+            return Err(self.past_horizon());
+        }
+        if !power.is_finite() {
+            return Err(self.non_finite(power));
         }
         let kw = power.as_kilowatts();
         let i = self.n;
@@ -649,9 +652,10 @@ impl BillAccrual {
     /// within the fast path's documented 1e-12 relative tolerance.
     ///
     /// Error behaviour is per-sample-identical too: a run crossing the
-    /// compile horizon applies the fitting prefix and then returns exactly
-    /// the error `push_next` would have returned for the first overrunning
-    /// sample. An empty run is a no-op (zero `push_next` calls).
+    /// compile horizon or carrying a NaN/infinite sample applies the valid
+    /// prefix and then returns exactly the error `push_next` would have
+    /// returned for the first failing sample. An empty run is a no-op (zero
+    /// `push_next` calls).
     pub fn push_run(&mut self, powers: &[Power]) -> Result<()> {
         if powers.is_empty() {
             return Ok(());
@@ -665,18 +669,38 @@ impl BillAccrual {
         // Sample `j` of the run occupies [t0 + j·step, t0 + (j+1)·step);
         // it fits while that interval ends at or before the horizon end.
         let fit = ((end - t0) / self.step) as usize;
-        let run = powers.len().min(fit);
-        self.fold_run(&powers[..run]);
-        if run < powers.len() {
-            let t = self.start + self.n * self.step;
-            return Err(CoreError::BadSeries(format!(
-                "sample [{}, {}) runs past the compiled horizon end {}",
-                SimTime::from_secs(t),
-                SimTime::from_secs(t + self.step),
-                self.kernel.end
-            )));
+        let run = &powers[..powers.len().min(fit)];
+        let bad = run.iter().position(|p| !p.is_finite());
+        self.fold_run(&run[..bad.unwrap_or(run.len())]);
+        if let Some(j) = bad {
+            return Err(self.non_finite(run[j]));
+        }
+        if run.len() < powers.len() {
+            return Err(self.past_horizon());
         }
         Ok(())
+    }
+
+    /// The error for a next sample that runs past the compiled horizon.
+    fn past_horizon(&self) -> CoreError {
+        let t = self.start + self.n * self.step;
+        CoreError::BadSeries(format!(
+            "sample [{}, {}) runs past the compiled horizon end {}",
+            SimTime::from_secs(t),
+            SimTime::from_secs(t + self.step),
+            self.kernel.end
+        ))
+    }
+
+    /// The error for a next sample whose power is NaN or infinite.
+    fn non_finite(&self, power: Power) -> CoreError {
+        let t = self.start + self.n * self.step;
+        CoreError::BadSeries(format!(
+            "sample [{}, {}) has non-finite power {} kW",
+            SimTime::from_secs(t),
+            SimTime::from_secs(t + self.step),
+            power.as_kilowatts()
+        ))
     }
 
     /// The fused fold over a run already validated to fit the horizon.

@@ -24,6 +24,7 @@ use hpcgrid_core::emergency::EmergencyDrClause;
 use hpcgrid_core::fleet::{MeterFleet, Sample};
 use hpcgrid_core::powerband::Powerband;
 use hpcgrid_core::tariff::{BlockStep, BlockTariff, DayFilter, Tariff, TouTariff, TouWindow};
+use hpcgrid_core::CoreError;
 use hpcgrid_timeseries::intervals::{Interval, IntervalSet};
 use hpcgrid_timeseries::series::{PowerSeries, PriceSeries, Series};
 use hpcgrid_units::{
@@ -686,4 +687,74 @@ fn fleet_apply_delta_reshards_and_continues() {
     };
     assert!(fleet.apply_delta(b, &bad).is_err());
     assert_eq!(fleet.finalize(b).unwrap(), kernel.bill(&load_b).unwrap());
+}
+
+/// NaN and ±inf samples are rejected with `BadSeries` before any state
+/// changes: by `push_next` on its own, and by `push_run` in the middle of a
+/// run after folding the valid prefix. Either way the accrual still bills
+/// exactly the batch bill of the accepted prefix and keeps streaming.
+#[test]
+fn non_finite_samples_are_rejected_without_touching_state() {
+    let cal = Calendar::default();
+    let contract = Contract::builder("finite-only")
+        .tariff(Tariff::fixed(EnergyPrice::per_kilowatt_hour(0.05)))
+        .demand_charge(DemandCharge::monthly(DemandPrice::per_kilowatt_month(10.0)))
+        .powerband(Powerband::ceiling(
+            Power::from_megawatts(6.0),
+            EnergyPrice::per_kilowatt_hour(0.5),
+        ))
+        .build()
+        .unwrap();
+    let step = Duration::from_hours(1.0);
+    let load: PowerSeries = Series::from_fn(SimTime::EPOCH, step, 48, |t| {
+        Power::from_kilowatts(4_000.0 + (t.as_secs() % 10_800) as f64 / 3.0)
+    })
+    .unwrap();
+    let kernel = compile(&cal, &contract, &load);
+    let powers = load.values();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let bad = Power::from_kilowatts(bad);
+
+        let mut acc = BillAccrual::new(Arc::clone(&kernel), load.start(), step).unwrap();
+        for &p in &powers[..10] {
+            acc.push_next(p).unwrap();
+        }
+        let err = acc.push_next(bad).unwrap_err();
+        assert!(matches!(err, CoreError::BadSeries(_)), "{err:?}");
+        assert_eq!(acc.samples(), 10);
+        assert_eq!(
+            acc.finalize().unwrap(),
+            kernel.bill(&load.prefix(10)).unwrap()
+        );
+        // Nothing moved: the stream continues as if the sample never came.
+        acc.push_next(powers[10]).unwrap();
+        assert_eq!(
+            acc.finalize().unwrap(),
+            kernel.bill(&load.prefix(11)).unwrap()
+        );
+
+        let mut run: Vec<Power> = powers[..20].to_vec();
+        run[13] = bad;
+        let mut acc = BillAccrual::new(Arc::clone(&kernel), load.start(), step).unwrap();
+        let mut solo = acc.clone();
+        for &p in &run[..13] {
+            solo.push_next(p).unwrap();
+        }
+        let err = acc.push_run(&run).unwrap_err();
+        assert_eq!(err, solo.push_next(bad).unwrap_err(), "push_next's error");
+        assert_eq!(acc.samples(), 13);
+        assert_eq!(
+            acc.finalize().unwrap(),
+            kernel.bill(&load.prefix(13)).unwrap()
+        );
+    }
+
+    // The horizon is checked first: past the end, a NaN sample reports
+    // the overrun, from either entry point.
+    let mut acc = BillAccrual::new(Arc::clone(&kernel), load.start(), step).unwrap();
+    acc.push_run(powers).unwrap();
+    let nan = Power::from_kilowatts(f64::NAN);
+    let overrun = acc.clone().push_next(nan).unwrap_err();
+    assert!(overrun.to_string().contains("horizon"), "{overrun}");
+    assert_eq!(acc.push_run(&[nan]).unwrap_err(), overrun);
 }

@@ -21,9 +21,9 @@
 //!   submission order preserved), [`SweepRunner::run_fold`], and the
 //!   journaled fold below.
 //! * [`ResultCache`] — content-addressed results, in memory plus an optional
-//!   sharded artifact directory (compact checksummed binary by default, JSON
-//!   on request) fronted by an in-memory index, so re-running an overlapping
-//!   sweep only computes the delta and hit checks never stat the filesystem.
+//!   sharded directory of compact checksummed binary artifacts fronted by
+//!   an in-memory index, so re-running an overlapping sweep only computes
+//!   the delta and hit checks never stat the filesystem.
 //! * [`SharedInputs`] — zero-copy registry of `Arc`'d inputs (compiled
 //!   kernels, load series) common to every scenario in a sweep.
 //! * [`SweepRunner::run_fold`] — streaming monoid reduction into
@@ -78,7 +78,7 @@ pub mod shared;
 pub mod spec;
 pub mod table;
 
-pub use cache::{ArtifactFormat, CacheTier, ProbeStats, ResultCache};
+pub use cache::{CacheTier, ProbeStats, ResultCache};
 pub use chaos::{FailpointSet, FaultAction};
 pub use error::{io_classed, EngineError, RetryPolicy, ScenarioError};
 pub use hash::{content_hash, ContentHash};

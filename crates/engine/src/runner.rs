@@ -5,7 +5,8 @@
 //! One private driver does the work of every entry point. It hashes each
 //! spec once, probes the cache once per distinct spec (recomputing corrupt
 //! artifacts), executes the misses on the pool under the retry budget and
-//! deadline, commits each result to the cache, and fills in the
+//! deadline, commits each result to the cache (and, given an artifact
+//! directory, to a checksummed binary artifact), and fills in the
 //! [`RunReport`]. The entry points differ only in the sink the driver hands
 //! each hit and completion to:
 //!
@@ -20,7 +21,7 @@
 //!   locked fold that journals every contribution as it absorbs it, so a
 //!   killed sweep resumes without re-executing anything journaled.
 
-use crate::cache::{ArtifactFormat, CacheTier, ResultCache};
+use crate::cache::{CacheTier, ResultCache};
 use crate::chaos::{self, sites, FailpointSet};
 use crate::error::{io_classed, EngineError, RetryPolicy, ScenarioError};
 use crate::hash::ContentHash;
@@ -205,25 +206,11 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
         }
     }
 
-    /// Runner whose cache persists artifacts under `dir` (binary by
-    /// default; `HPCGRID_SWEEP_ARTIFACT_FORMAT=json` keeps JSON).
+    /// Runner whose cache persists checksummed binary artifacts under
+    /// `dir`.
     pub fn with_artifact_dir(dir: impl Into<std::path::PathBuf>) -> Result<Self, EngineError> {
         Ok(SweepRunner {
             cache: ResultCache::with_artifact_dir(dir)?,
-            config: SweepConfig::default(),
-            shared: Arc::new(SharedInputs::new()),
-            chaos: chaos::env_failpoints(),
-        })
-    }
-
-    /// Runner whose cache persists artifacts under `dir` in an explicit
-    /// format, ignoring the environment.
-    pub fn with_artifact_dir_and_format(
-        dir: impl Into<std::path::PathBuf>,
-        format: ArtifactFormat,
-    ) -> Result<Self, EngineError> {
-        Ok(SweepRunner {
-            cache: ResultCache::with_artifact_dir_and_format(dir, format)?,
             config: SweepConfig::default(),
             shared: Arc::new(SharedInputs::new()),
             chaos: chaos::env_failpoints(),
@@ -735,7 +722,7 @@ impl<R: Clone + Send + Serialize + Deserialize> SweepRunner<R> {
                             let _ = cache
                                 .lock()
                                 .expect("cache mutex poisoned")
-                                .put_keyed(key, spec, value);
+                                .put_keyed(key, value);
                         }
                         let done = Resolved {
                             slot,

@@ -2,7 +2,7 @@
 //! sweep runner guarantees, exercised end to end.
 
 use hpcgrid_engine::{
-    ArtifactFormat, Disposition, ResultCache, RunReport, ScenarioError, ScenarioSpec, SweepRunner,
+    Disposition, ResultCache, RunReport, ScenarioError, ScenarioSpec, SweepRunner,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -234,15 +234,9 @@ fn artifact_dir_is_shared_across_runners() {
     // disk traffic was fetching the ten artifacts themselves.
     assert_eq!(outcome.report.index_probes, 10);
     assert_eq!(outcome.report.disk_reads, 10);
-    // Artifacts are self-describing files named by content hash, fanned out
-    // into xx/yy shard subdirectories keyed by the hash's leading hex
-    // digits (binary `.bin` by default; the CI matrix re-runs this suite
-    // with `HPCGRID_SWEEP_ARTIFACT_FORMAT=json`, hence the env-derived
-    // extension).
-    let ext = match ArtifactFormat::from_env() {
-        ArtifactFormat::Binary => "bin",
-        ArtifactFormat::Json => "json",
-    };
+    // Artifacts are self-describing `.bin` files named by content hash,
+    // fanned out into xx/yy shard subdirectories keyed by the hash's leading
+    // hex digits.
     let mut files: Vec<String> = Vec::new();
     collect_artifact_files(&dir, &mut files);
     files.sort();
@@ -250,7 +244,7 @@ fn artifact_dir_is_shared_across_runners() {
         .iter()
         .map(|s| {
             let hex = s.content_hash().to_hex();
-            format!("{}/{}/{hex}.{ext}", &hex[0..2], &hex[2..4])
+            format!("{}/{}/{hex}.bin", &hex[0..2], &hex[2..4])
         })
         .collect();
     expected.sort();
@@ -296,33 +290,85 @@ fn runner_artifacts_are_plain_cache_artifacts() {
 }
 
 /// A second identical sweep is served fully from artifacts — zero scenario
-/// executions — under both the binary and JSON artifact formats.
+/// executions.
 #[test]
-fn second_sweep_is_fully_cache_served_under_both_formats() {
-    use hpcgrid_engine::ArtifactFormat;
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = std::env::temp_dir().join(format!(
-            "hpcgrid-engine-zero-exec-{}-{}",
-            format.label(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let specs = sweep_specs(50);
-        {
-            let mut warm: SweepRunner<f64> =
-                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-            let outcome = warm.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")? * 3.0));
-            assert_eq!(outcome.report.executed, 50);
-        }
-        let mut cold: SweepRunner<f64> =
-            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-        let outcome = cold.run(&specs, |_| -> Result<f64, String> {
-            panic!("second sweep must not execute anything")
-        });
-        assert_eq!(outcome.report.executed, 0, "{}", format.label());
-        assert_eq!(outcome.report.artifact_hits, 50, "{}", format.label());
-        std::fs::remove_dir_all(&dir).unwrap();
+fn second_sweep_is_fully_cache_served() {
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-zero-exec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = sweep_specs(50);
+    {
+        let mut warm: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+        let outcome = warm.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")? * 3.0));
+        assert_eq!(outcome.report.executed, 50);
     }
+    let mut cold: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let outcome = cold.run(&specs, |_| -> Result<f64, String> {
+        panic!("second sweep must not execute anything")
+    });
+    assert_eq!(outcome.report.executed, 0);
+    assert_eq!(outcome.report.artifact_hits, 50);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Artifact directories written by earlier releases may hold `.json`
+/// artifacts — flat `<hash>.json` or sharded `xx/yy/<hash>.json`. They are
+/// not an error: the opening walk indexes neither, so their keys are misses
+/// that execute and write `.bin` artifacts, and the JSON files are left
+/// unread and in place.
+#[test]
+fn json_artifacts_of_earlier_releases_are_recomputed_not_read() {
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-old-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let specs = sweep_specs(2);
+    let hex: Vec<String> = specs.iter().map(|s| s.content_hash().to_hex()).collect();
+    let flat = dir.join(format!("{}.json", hex[0]));
+    let sharded = dir
+        .join(&hex[1][0..2])
+        .join(&hex[1][2..4])
+        .join(format!("{}.json", hex[1]));
+    std::fs::create_dir_all(sharded.parent().unwrap()).unwrap();
+    for (path, hex) in [(&flat, &hex[0]), (&sharded, &hex[1])] {
+        std::fs::write(
+            path,
+            format!("{{\"spec_hash\": \"{hex}\", \"result\": -1.0}}\n"),
+        )
+        .unwrap();
+    }
+    let before = [
+        std::fs::read(&flat).unwrap(),
+        std::fs::read(&sharded).unwrap(),
+    ];
+
+    let cache: ResultCache<f64> = ResultCache::with_artifact_dir(&dir).unwrap();
+    assert_eq!(cache.len_index(), 0, "JSON files are not artifacts");
+
+    let mut runner: SweepRunner<f64> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let outcome = runner.run(&specs, |ctx| Ok(ctx.spec.param_f64("multiplier")?));
+    assert_eq!(outcome.report.executed, 2);
+    assert_eq!(outcome.report.artifact_hits, 0);
+    assert_eq!(outcome.report.disk_reads, 0, "no JSON file was read");
+    let expected: Vec<f64> = specs
+        .iter()
+        .map(|s| s.param_f64("multiplier").unwrap())
+        .collect();
+    assert_eq!(outcome.expect_all("recompute"), expected);
+    for (spec, hex) in specs.iter().zip(&hex) {
+        let bin = dir
+            .join(&hex[0..2])
+            .join(&hex[2..4])
+            .join(format!("{hex}.bin"));
+        assert!(bin.exists(), "expected {}", bin.display());
+        assert_eq!(
+            runner.cache_mut().artifact_path_for(spec.content_hash()),
+            Some(bin)
+        );
+    }
+    let after = [
+        std::fs::read(&flat).unwrap(),
+        std::fs::read(&sharded).unwrap(),
+    ];
+    assert_eq!(before, after, "JSON files are left untouched");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// An artifact directory that cannot be written (here: the shard path is
@@ -360,18 +406,17 @@ fn unwritable_artifact_dir_still_serves_the_memory_tier() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A binary artifact truncated mid-file is treated exactly like corrupt
-/// JSON: counted in `cache_corrupt`, recomputed, and healed by the rerun.
+/// A binary artifact truncated mid-file is treated like any corrupt
+/// artifact: counted in `cache_corrupt`, recomputed, and healed by the
+/// rerun.
 #[test]
 fn truncated_binary_artifact_recomputes_and_heals() {
-    use hpcgrid_engine::ArtifactFormat;
     let dir = std::env::temp_dir().join(format!("hpcgrid-engine-trunc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let specs = sweep_specs(1);
     let path;
     {
-        let mut warm: SweepRunner<Vec<f64>> =
-            SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+        let mut warm: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
         warm.run(&specs, |ctx| {
             Ok(vec![ctx.spec.param_f64("multiplier")?, 2.5, -3.75])
         });
@@ -383,16 +428,14 @@ fn truncated_binary_artifact_recomputes_and_heals() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let mut runner: SweepRunner<Vec<f64>> =
-        SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+    let mut runner: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
     let outcome = runner.run(&specs, |ctx| {
         Ok(vec![ctx.spec.param_f64("multiplier")?, 2.5, -3.75])
     });
     assert_eq!(outcome.report.cache_corrupt, 1);
     assert_eq!(outcome.report.executed, 1);
     // The recomputation rewrote the artifact; a fresh runner reads it clean.
-    let mut fresh: SweepRunner<Vec<f64>> =
-        SweepRunner::with_artifact_dir_and_format(&dir, ArtifactFormat::Binary).unwrap();
+    let mut fresh: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
     let again = fresh.run(&specs, |_| -> Result<Vec<f64>, String> {
         panic!("healed artifact must serve the rerun")
     });
@@ -401,13 +444,12 @@ fn truncated_binary_artifact_recomputes_and_heals() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Binary and JSON artifacts written for the same results decode to
-/// bit-identical values.
+/// Results served from artifacts are bit-identical to freshly computed
+/// ones, including awkward full-mantissa values and arbitrary bit patterns.
 #[test]
-fn binary_and_json_artifacts_decode_bit_identical() {
-    use hpcgrid_engine::ArtifactFormat;
-    let base = std::env::temp_dir().join(format!("hpcgrid-engine-bits2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+fn artifact_served_results_are_bit_identical_to_computed() {
+    let dir = std::env::temp_dir().join(format!("hpcgrid-engine-bits2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let specs = sweep_specs(16);
     let simulate = |ctx: hpcgrid_engine::ScenarioCtx<'_>| -> Result<Vec<f64>, String> {
         let i = ctx.spec.param_i64("index")? as f64;
@@ -418,26 +460,23 @@ fn binary_and_json_artifacts_decode_bit_identical() {
             f64::from_bits(ctx.seed),
         ])
     };
-    let mut decoded: Vec<Vec<Vec<f64>>> = Vec::new();
-    for format in [ArtifactFormat::Binary, ArtifactFormat::Json] {
-        let dir = base.join(format.label());
-        {
-            let mut warm: SweepRunner<Vec<f64>> =
-                SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-            warm.run(&specs, simulate);
-        }
-        let mut cold: SweepRunner<Vec<f64>> =
-            SweepRunner::with_artifact_dir_and_format(&dir, format).unwrap();
-        let outcome = cold.run(&specs, |_| -> Result<Vec<f64>, String> {
-            panic!("must decode from artifacts")
-        });
-        assert_eq!(outcome.report.artifact_hits, 16);
-        decoded.push(outcome.expect_all("decode"));
-    }
-    for (b, j) in decoded[0].iter().zip(decoded[1].iter()) {
-        for (x, y) in b.iter().zip(j.iter()) {
+    let computed = {
+        let mut warm: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
+        let outcome = warm.run(&specs, simulate);
+        assert_eq!(outcome.report.executed, 16);
+        outcome.expect_all("compute")
+    };
+    let mut cold: SweepRunner<Vec<f64>> = SweepRunner::with_artifact_dir(&dir).unwrap();
+    let outcome = cold.run(&specs, |_| -> Result<Vec<f64>, String> {
+        panic!("must decode from artifacts")
+    });
+    assert_eq!(outcome.report.artifact_hits, 16);
+    let served = outcome.expect_all("decode");
+    for (c, a) in computed.iter().zip(served.iter()) {
+        assert_eq!(c.len(), a.len());
+        for (x, y) in c.iter().zip(a.iter()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
         }
     }
-    std::fs::remove_dir_all(&base).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
