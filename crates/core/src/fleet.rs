@@ -315,8 +315,16 @@ impl FleetStats {
     }
 }
 
-/// Per-shard fold outcome: `(applied, dropped, quarantined)`.
-type ShardOutcome = (usize, usize, Vec<(MeterId, Arc<str>)>);
+/// What one shard's fold did. A typed error stops the shard's fold but
+/// keeps the meters it already quarantined, so a failed advance still
+/// quarantines every meter that panicked in it.
+#[derive(Default)]
+struct ShardOutcome {
+    applied: usize,
+    dropped: usize,
+    panicked: Vec<(MeterId, Arc<str>)>,
+    error: Option<CoreError>,
+}
 
 /// A sharded fleet of streaming meters over one calendar and compile
 /// horizon.
@@ -562,7 +570,9 @@ impl MeterFleet {
     /// [`FleetTickReport::newly_quarantined`]. Subsequent ticks drop the
     /// quarantined meter's samples at scatter time until
     /// [`MeterFleet::restore`] rehabilitates it from a known-good snapshot.
-    /// Typed errors (grid misuse, horizon overrun) still fail the tick.
+    /// Typed errors (grid misuse, horizon overrun) still fail the tick. An
+    /// unknown meter or a NaN or infinite power fails it before any meter
+    /// folds a sample.
     pub fn advance_tick(&mut self, samples: &[Sample]) -> Result<FleetTickReport> {
         let t0 = Instant::now();
         let mut report = FleetTickReport {
@@ -570,21 +580,13 @@ impl MeterFleet {
             ..FleetTickReport::default()
         };
         self.reserve_shard_bufs();
-        let check_quarantine = !self.quarantined.is_empty();
-        for s in samples {
-            let (shard, slot) = *self
-                .directory
-                .get(s.meter.0)
-                .ok_or_else(|| CoreError::BadSeries(format!("unknown {}", s.meter)))?;
-            if check_quarantine && self.quarantined.contains_key(&s.meter.0) {
-                report.dropped += 1;
-                continue;
+        if let Err(e) = self.scatter(samples, &mut report) {
+            for shard in &mut self.shards {
+                lock_mut(&mut shard.state).buf.clear();
             }
-            lock_mut(&mut self.shards[shard].state)
-                .buf
-                .push((slot, s.power));
+            return Err(e);
         }
-        let worked = try_par_map(&self.shards, |shard| -> Result<ShardOutcome> {
+        let worked = try_par_map(&self.shards, |shard| {
             let state = &mut *lock(&shard.state);
             // Split-borrow meters and buf out of the guard.
             let ShardState { meters, buf } = state;
@@ -600,6 +602,27 @@ impl MeterFleet {
         Ok(report)
     }
 
+    /// Scatter one tick's samples to the shard buffers, counting the
+    /// samples of quarantined meters as dropped.
+    fn scatter(&mut self, samples: &[Sample], report: &mut FleetTickReport) -> Result<()> {
+        let check_quarantine = !self.quarantined.is_empty();
+        for s in samples {
+            let (shard, slot) = *self
+                .directory
+                .get(s.meter.0)
+                .ok_or_else(|| CoreError::BadSeries(format!("unknown {}", s.meter)))?;
+            check_finite(s.meter, s.power)?;
+            if check_quarantine && self.quarantined.contains_key(&s.meter.0) {
+                report.dropped += 1;
+                continue;
+            }
+            lock_mut(&mut self.shards[shard].state)
+                .buf
+                .push((slot, s.power));
+        }
+        Ok(())
+    }
+
     /// Advance the fleet by one columnar [`TickFrame`] — semantically
     /// identical to [`MeterFleet::advance_tick`] over the equivalent AoS
     /// batch (bills bit-identical, same degradation rules), but the
@@ -609,6 +632,7 @@ impl MeterFleet {
     /// lane directly through the plan's prefix-sum buckets.
     pub fn advance_frame(&mut self, frame: &TickFrame) -> Result<FleetTickReport> {
         let t0 = Instant::now();
+        check_frame_finite(frame)?;
         self.ensure_plan(&frame.meters)?;
         let mut report;
         let worked;
@@ -622,7 +646,7 @@ impl MeterFleet {
             let powers = frame.powers();
             let shards = &self.shards;
             let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
+            worked = try_par_map(&shard_ids, |&s| {
                 let state = &mut *lock(&shards[s].state);
                 let (lo, hi) = (plan.offsets[s], plan.offsets[s + 1]);
                 fold_shard(
@@ -657,6 +681,8 @@ impl MeterFleet {
     ///
     /// A meter that panics mid-window is quarantined and the *rest of its
     /// window* is dropped; every other meter still folds its full window.
+    /// A NaN or infinite power in any frame fails the whole window before
+    /// any meter folds a sample.
     pub fn advance_window(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
         let (first, rest) = match frames.split_first() {
             None => return Ok(FleetTickReport::default()),
@@ -664,6 +690,9 @@ impl MeterFleet {
         };
         if rest.is_empty() {
             return self.advance_frame(first);
+        }
+        for frame in frames {
+            check_frame_finite(frame)?;
         }
         let homogeneous = rest
             .iter()
@@ -698,13 +727,11 @@ impl MeterFleet {
             };
             let shards = &self.shards;
             let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| -> Result<ShardOutcome> {
+            worked = try_par_map(&shard_ids, |&s| {
                 let state = &mut *lock(&shards[s].state);
                 let meters = &mut state.meters;
                 let mut run: Vec<Power> = Vec::with_capacity(w);
-                let mut applied = 0usize;
-                let mut dropped = 0usize;
-                let mut panicked: Vec<(MeterId, Arc<str>)> = Vec::new();
+                let mut out = ShardOutcome::default();
                 for k in plan.offsets[s]..plan.offsets[s + 1] {
                     let slot = plan.slots[k] as usize;
                     let pos = plan.positions[k] as usize;
@@ -713,21 +740,22 @@ impl MeterFleet {
                     let (id, accrual) = &mut meters[slot];
                     let before = accrual.samples();
                     match catch_unwind(AssertUnwindSafe(|| accrual.push_run(&run))) {
-                        Ok(pushed) => {
-                            pushed?;
-                            applied += w;
+                        Ok(Ok(())) => out.applied += w,
+                        Ok(Err(e)) => {
+                            out.error = Some(e);
+                            break;
                         }
                         Err(payload) => {
                             // The fold got `done` samples in before dying;
                             // the rest of this meter's window is dropped.
                             let done = (accrual.samples() - before) as usize;
-                            applied += done;
-                            dropped += w - done;
-                            panicked.push((*id, panic_reason(payload)));
+                            out.applied += done;
+                            out.dropped += w - done;
+                            out.panicked.push((*id, panic_reason(payload)));
                         }
                     }
                 }
-                Ok((applied, dropped, panicked))
+                out
             })
             .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
         }
@@ -828,17 +856,21 @@ impl MeterFleet {
 
     /// Aggregate per-shard fold outcomes into `report` and quarantine the
     /// casualties (bumping the population version so the scatter plan
-    /// drops them at rebuild).
+    /// drops them at rebuild). The casualties are quarantined even when a
+    /// shard failed with a typed error, which is then returned.
     fn absorb_outcomes(
         &mut self,
         report: &mut FleetTickReport,
-        worked: Vec<Result<ShardOutcome>>,
+        worked: Vec<ShardOutcome>,
     ) -> Result<()> {
+        let mut error = None;
         for outcome in worked {
-            let (applied, dropped, panicked) = outcome?;
-            report.applied += applied;
-            report.dropped += dropped;
-            report.newly_quarantined.extend(panicked);
+            report.applied += outcome.applied;
+            report.dropped += outcome.dropped;
+            report.newly_quarantined.extend(outcome.panicked);
+            if error.is_none() {
+                error = outcome.error;
+            }
         }
         report.newly_quarantined.sort_by_key(|(id, _)| *id);
         if !report.newly_quarantined.is_empty() {
@@ -847,7 +879,7 @@ impl MeterFleet {
             }
             self.pop_version += 1;
         }
-        Ok(())
+        error.map_or(Ok(()), Err)
     }
 
     /// Close the books of one meter — bit-identical to the batch bill of
@@ -1085,34 +1117,54 @@ impl MeterFleet {
 fn fold_shard(
     meters: &mut [(MeterId, BillAccrual)],
     pulls: impl Iterator<Item = (usize, Power)>,
-) -> Result<ShardOutcome> {
-    let mut applied = 0usize;
-    let mut dropped = 0usize;
-    let mut panicked: Vec<(MeterId, Arc<str>)> = Vec::new();
+) -> ShardOutcome {
+    let mut out = ShardOutcome::default();
     let mut bits: Vec<u64> = Vec::new();
     let words = meters.len().div_ceil(64).max(1);
     for (slot, power) in pulls {
         if !bits.is_empty() && bits[slot / 64] & (1 << (slot % 64)) != 0 {
-            dropped += 1;
+            out.dropped += 1;
             continue;
         }
         let (id, accrual) = &mut meters[slot];
         match catch_unwind(AssertUnwindSafe(|| accrual.push_next(power))) {
-            Ok(pushed) => {
-                pushed?;
-                applied += 1;
+            Ok(Ok(())) => out.applied += 1,
+            Ok(Err(e)) => {
+                out.error = Some(e);
+                break;
             }
             Err(payload) => {
-                dropped += 1;
+                out.dropped += 1;
                 if bits.is_empty() {
                     bits = vec![0u64; words];
                 }
                 bits[slot / 64] |= 1 << (slot % 64);
-                panicked.push((*id, panic_reason(payload)));
+                out.panicked.push((*id, panic_reason(payload)));
             }
         }
     }
-    Ok((applied, dropped, panicked))
+    out
+}
+
+/// Reject a batch carrying a NaN or infinite power before any meter folds
+/// it, so one bad reading fails the advance with every meter unchanged.
+fn check_finite(meter: MeterId, power: Power) -> Result<()> {
+    if power.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::BadSeries(format!(
+            "{meter} has non-finite power {} kW; the advance was rejected",
+            power.as_kilowatts()
+        )))
+    }
+}
+
+/// [`check_finite`] over a whole frame's power lane.
+fn check_frame_finite(frame: &TickFrame) -> Result<()> {
+    match frame.powers.iter().position(|p| !p.is_finite()) {
+        None => Ok(()),
+        Some(pos) => check_finite(frame.meters[pos], frame.powers[pos]),
+    }
 }
 
 /// Human-readable panic message out of a `catch_unwind` payload, shared
