@@ -1,13 +1,14 @@
 //! Bench: the fleet ingest shapes head to head (group `fleet_tick_batched`).
 //!
-//! One population, three ways to feed it the same samples: scalar AoS
-//! `advance_tick` (per-sample directory probes and locks at scatter),
-//! columnar `advance_frame` (cached `ScatterPlan`, plan-indexed pull), and
-//! fused `advance_window` (one `push_run` per meter per window). Each
-//! iteration feeds a fixed meter-sample count (`METERS`, or
-//! `METERS × WINDOW` for the fused shape), so per-iteration time divides
-//! straight into the meter-samples/s unit `BENCH_fleet.json` reports —
-//! the criterion trend lines up with `exp_fleet_throughput`.
+//! One population, three ways to feed it the same samples, all through
+//! the same cached `ScatterPlan`: scalar AoS `advance_tick` (id column
+//! matched element-wise against the plan lane), one-frame
+//! `advance_window` calls (columnar lanes, `Arc`'d id lane matched by
+//! pointer), and 16-tick `advance_window` calls (one `push_run` per meter
+//! per window). Each iteration feeds a fixed meter-sample count
+//! (`METERS`, or `METERS × WINDOW` for the fused shape), so per-iteration
+//! time divides straight into the meter-samples/s unit `BENCH_fleet.json`
+//! reports — the criterion trend lines up with `exp_fleet_throughput`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpcgrid_core::contract::Contract;
@@ -81,7 +82,7 @@ fn bench_fleet_tick(c: &mut Criterion) {
             b.iter(|| {
                 let powers: Vec<Power> = ids.iter().map(|id| power(id.0, t)).collect();
                 let frame = TickFrame::new(Arc::clone(&ids), powers).unwrap();
-                let report = fleet.advance_frame(&frame).unwrap();
+                let report = fleet.advance_window(std::slice::from_ref(&frame)).unwrap();
                 t += 1;
                 report.applied
             })

@@ -16,14 +16,16 @@
 //!   (geometry-known fast path) and only fall back to the cursor past its
 //!   end.
 //!
-//! The warm pass is then measured over all three ingest shapes (the
-//! "hot-path data layout" ladder in `docs/ARCHITECTURE.md`):
+//! The warm pass is then measured over three input layouts (the
+//! "hot-path data layout" section of `docs/ARCHITECTURE.md`). All three
+//! route through the same cached `ScatterPlan` and plan-routed fold:
 //!
-//! * **scalar** — AoS `advance_tick`: per-sample directory probes and
-//!   shard-buffer pushes at scatter, `catch_unwind` per push;
-//! * **frames** — columnar `advance_frame`: one cached `ScatterPlan`
-//!   resolves the whole frame shape, workers pull the power lane through
-//!   prefix-sum buckets;
+//! * **scalar** — AoS `advance_tick`: the samples' id column matches the
+//!   plan lane element-wise, workers pull powers out of the sample slice,
+//!   `catch_unwind` per push;
+//! * **frames** — one-frame `advance_window` calls over columnar
+//!   `TickFrame`s: the `Arc`'d lane matches by pointer, workers pull the
+//!   power lane through prefix-sum buckets;
 //! * **fused** — `advance_window` over 16-tick windows: one `push_run`
 //!   per meter per window, `catch_unwind` once per meter-window.
 //!
@@ -220,10 +222,10 @@ fn run_fleet(
     (fleet, register_s, stream_s)
 }
 
-/// Like [`run_fleet`], but streaming columnar [`TickFrame`]s in windows of
-/// `window` ticks: `window == 1` exercises the per-frame plan-scatter path
-/// (`advance_frame`), wider windows the fused `push_run` path
-/// (`advance_window`). Frame construction (power-lane fill from the
+/// Like [`run_fleet`], but streaming columnar [`TickFrame`]s through
+/// `advance_window` in windows of `window` ticks: `window == 1` folds one
+/// `push_next` per sample, wider windows one `push_run` per meter per
+/// window. Frame construction (power-lane fill from the
 /// profile table) is timed, exactly like `run_fleet` times its sample
 /// buffer fill — the comparison is driver-to-driver fair.
 fn run_fleet_batched(

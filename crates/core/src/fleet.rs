@@ -3,30 +3,30 @@
 //! A [`MeterFleet`] manages many [`BillAccrual`] meters at once, sharded by
 //! contract fingerprint so every meter under the same contract shares one
 //! `Arc`'d [`CompiledContract`] kernel — and with it the kernel's reusable
-//! segment-map cache. Ticks scatter the batch of samples to their shards
-//! and fan the shards across the `try_par_map` worker pool; each shard is
-//! owned by exactly one task per tick, so the per-shard locks never
-//! contend.
+//! segment-map cache. Each advance fans the shards across the
+//! `try_par_map` worker pool; each shard is owned by exactly one task per
+//! advance, so the per-shard locks never contend.
 //!
 //! # Hot-path data layout
 //!
-//! The ingest path comes in three shapes, fastest last:
+//! The ingest path has two entry points and one plan-routed fold:
 //!
-//! * [`MeterFleet::advance_tick`] — one tick of AoS [`Sample`]s. Samples
-//!   are scattered to per-shard buffers (pre-reserved at bucket size) and
-//!   folded one `push_next` per sample.
-//! * [`MeterFleet::advance_frame`] — one tick as a columnar [`TickFrame`]
-//!   (SoA: a shared meter-id lane plus a contiguous power lane). The fleet
-//!   resolves directory lookups, quarantine membership, and shard
-//!   bucketing **once** into a cached `ScatterPlan` with prefix-sum
-//!   bucket offsets; steady-state scatter is then a plan-indexed pull of
-//!   the power lane, with no per-sample map probes and no per-sample
-//!   locks.
-//! * [`MeterFleet::advance_window`] — many frames at once. Each meter's
-//!   samples across the window are gathered into one contiguous run and
-//!   folded by a single [`BillAccrual::push_run`] call — segment cursors
-//!   stay hot across the whole window and `catch_unwind` is paid once per
-//!   meter-window instead of once per sample.
+//! * [`MeterFleet::advance_tick`] — one tick of AoS [`Sample`]s;
+//! * [`MeterFleet::advance_window`] — one or more columnar [`TickFrame`]s
+//!   (SoA: a shared meter-id lane plus a contiguous power lane per tick).
+//!
+//! Both resolve directory lookups, quarantine membership, and shard
+//! bucketing **once** into a cached `ScatterPlan` with prefix-sum bucket
+//! offsets. A tick matches its id column element-wise against the plan's
+//! lane; frames sharing one `Arc`'d lane match by pointer. On the steady
+//! state (same lane, unchanged population) no directory or quarantine
+//! probe happens at all: each shard worker walks its contiguous bucket
+//! and pulls the powers straight out of the caller's input. A one-tick
+//! advance folds one `push_next` per sample; a wider window gathers each
+//! meter's samples into one contiguous run folded by a single
+//! [`BillAccrual::push_run`] call, so segment cursors stay hot across the
+//! window and `catch_unwind` is paid once per meter-window instead of
+//! once per sample.
 //!
 //! The scatter plan is reused while the population is stable and
 //! invalidated by anything that moves meters or changes quarantine
@@ -37,7 +37,7 @@
 //! meter and *per ingest shape*: `finalize(meter)` equals the batch bill
 //! of that meter's sample history under `Precision::BitExact`, regardless
 //! of shard count, tick batching, or whether the samples arrived as AoS
-//! ticks, frames, or fused windows. The shard count (default: available
+//! ticks or frame windows. The shard count (default: available
 //! parallelism, override with [`MeterFleet::with_shards`] or the
 //! `HPCGRID_FLEET_SHARDS` env var) is therefore pure deployment tuning.
 
@@ -142,16 +142,6 @@ impl TickFrame {
         Ok(TickFrame { meters, powers })
     }
 
-    /// Transpose an AoS sample batch into a frame (one allocation per
-    /// lane). Drivers that can build frames directly should — frames built
-    /// per tick from the same `Arc`'d id lane skip the plan re-match scan.
-    pub fn from_samples(samples: &[Sample]) -> TickFrame {
-        TickFrame {
-            meters: samples.iter().map(|s| s.meter).collect(),
-            powers: samples.iter().map(|s| s.power).collect(),
-        }
-    }
-
     /// The shared meter-id lane.
     pub fn meters(&self) -> &Arc<[MeterId]> {
         &self.meters
@@ -179,54 +169,48 @@ impl TickFrame {
     }
 }
 
-/// The cached scatter resolution for one frame shape against one fleet
-/// population: every directory lookup, quarantine probe, and shard bucket
-/// assignment done once, with prefix-sum offsets so each shard's pull is a
-/// contiguous entry range.
+/// The cached scatter resolution for one meter-id lane (a tick's id column
+/// or a frame's lane) against one fleet population: every directory
+/// lookup, quarantine probe, and shard bucket assignment done once, with
+/// prefix-sum offsets so each shard's pull is a contiguous entry range.
 #[derive(Debug)]
 struct ScatterPlan {
     /// Fleet population version the plan was built against.
     version: u64,
-    /// The frame meter-id lane the plan serves.
+    /// The meter-id lane the plan serves.
     meters: Arc<[MeterId]>,
     /// Per-shard entry ranges: shard `s` owns entries
     /// `[offsets[s], offsets[s+1])`.
     offsets: Vec<usize>,
     /// Entry → shard-local meter slot.
     slots: Vec<u32>,
-    /// Entry → frame position (index into the power lane).
+    /// Entry → lane position (index into the power lane).
     positions: Vec<u32>,
-    /// Frame positions dropped every tick because their meter is
+    /// Lane positions dropped every tick because their meter is
     /// quarantined.
     dropped_per_tick: usize,
-    /// True if no meter id appears twice in the frame — the precondition
-    /// for fusing a window per meter (duplicates must fold in frame
-    /// order, which per-meter fusion would reorder).
+    /// True if no meter id appears twice in the lane — the precondition
+    /// for fusing a window per meter (duplicates must fold in lane order,
+    /// which per-meter fusion would reorder).
     unique: bool,
 }
 
 /// A group of meters sharing one compiled kernel, advanced by one worker
-/// task per tick.
+/// task per advance.
 struct Shard {
     /// `CompiledContract::fingerprint().0` of the shard's kernel.
     fingerprint: u64,
     kernel: Arc<CompiledContract>,
-    /// Meters plus the tick's scatter buffer. Locked once per tick per
-    /// worker; `advance_tick` holds `&mut self`, so scatter uses the
-    /// lock-free `get_mut` path.
-    state: Mutex<ShardState>,
+    /// Locked once per advance per worker; code holding `&mut self` uses
+    /// the lock-free `get_mut` path.
+    meters: Mutex<Meters>,
 }
 
-struct ShardState {
-    /// `(meter id, accrual)` — slot positions are tracked in the fleet
-    /// directory and patched up on `swap_remove`.
-    meters: Vec<(MeterId, BillAccrual)>,
-    /// `(slot, power)` pairs scattered for the in-flight tick. Kept
-    /// per-shard so its capacity is reused across ticks.
-    buf: Vec<(usize, Power)>,
-}
+/// A shard's `(meter id, accrual)` slots — slot positions are tracked in
+/// the fleet directory and patched up on `swap_remove`.
+type Meters = Vec<(MeterId, BillAccrual)>;
 
-/// What one fleet advance (tick, frame, or window) did with its samples.
+/// What one fleet advance (tick or window) did with its samples.
 ///
 /// Every offered sample lands in exactly one bucket: `applied` (folded into
 /// a healthy meter), `dropped` (its meter was quarantined — before this
@@ -274,17 +258,27 @@ pub struct FleetStats {
     pub kernel_hits: u64,
     /// Registrations and delta moves that had to compile a kernel.
     pub kernel_misses: u64,
-    /// Frame/window advances that reused the cached scatter plan.
+    /// Lane resolutions by window advances that reused the cached scatter
+    /// plan. A [`MeterFleet::advance_window`] call resolves its frames'
+    /// lane once if they share one, plus once per frame if the window
+    /// degrades to per-frame advances (mixed lanes or duplicate ids);
+    /// `plan_hits + plan_builds` counts those resolutions.
+    ///
+    /// Ticks are not counted. [`MeterFleet::advance_tick`] reuses or
+    /// rebuilds the same plan, but a live stream runs many ticks per
+    /// window, so counting them would hide the window reuse rate and
+    /// break that one-count-per-window identity.
     pub plan_hits: u64,
-    /// Scatter plan builds (first frame, population changes, new frame
-    /// shapes).
+    /// Scatter plan builds by window advances (first window, population
+    /// changes, new lanes). Builds triggered by ticks are not counted;
+    /// see [`FleetStats::plan_hits`].
     pub plan_builds: u64,
     /// Mean accrual state size per meter, in bytes (excludes the shared
     /// kernels — that is the point of sharding).
     pub bytes_per_meter: f64,
     /// Ticks advanced so far.
     pub ticks: u64,
-    /// Wall-clock seconds spent inside tick/frame/window advances.
+    /// Wall-clock seconds spent inside tick and window advances.
     pub tick_seconds: f64,
     /// Samples folded across all ticks.
     pub samples: u64,
@@ -303,7 +297,7 @@ impl FleetStats {
         }
     }
 
-    /// Fraction of frame/window advances served by the cached scatter
+    /// Fraction of window lane resolutions served by the cached scatter
     /// plan.
     pub fn plan_reuse_rate(&self) -> f64 {
         let total = self.plan_hits + self.plan_builds;
@@ -375,7 +369,7 @@ pub struct MeterFleet {
     /// between shards or changes quarantine membership. A `ScatterPlan`
     /// is valid only while its version matches.
     pop_version: u64,
-    /// The cached scatter plan of the most recent frame shape.
+    /// The cached scatter plan of the most recent lane.
     plan: Option<ScatterPlan>,
     plan_hits: u64,
     plan_builds: u64,
@@ -515,10 +509,7 @@ impl MeterFleet {
             self.shards.push(Shard {
                 fingerprint: fp,
                 kernel,
-                state: Mutex::new(ShardState {
-                    meters: Vec::new(),
-                    buf: Vec::new(),
-                }),
+                meters: Mutex::new(Vec::new()),
             });
             list.push(idx);
             idx
@@ -528,152 +519,55 @@ impl MeterFleet {
             *rr += 1;
             idx
         };
-        let meters = &mut lock_mut(&mut self.shards[shard].state).meters;
+        let meters = lock_mut(&mut self.shards[shard].meters);
         meters.push((id, accrual));
         (shard, meters.len() - 1)
     }
 
-    /// Reserve each shard's scatter buffer at its expected bucket size —
-    /// the cached plan's bucket counts when the plan is current, the
-    /// shard's population otherwise — so the first tick lands in one
-    /// allocation instead of doubling up from empty. Capacity persists
-    /// across ticks (`buf.clear()` keeps it), so this is a no-op after
-    /// the first reservation.
-    fn reserve_shard_bufs(&mut self) {
-        let plan_counts: Option<Vec<usize>> = self
-            .plan
-            .as_ref()
-            .filter(|p| p.version == self.pop_version)
-            .map(|p| p.offsets.windows(2).map(|w| w[1] - w[0]).collect());
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let st = lock_mut(&mut shard.state);
-            let want = match &plan_counts {
-                Some(counts) => counts[s],
-                None => st.meters.len(),
-            };
-            if st.buf.capacity() < want {
-                let additional = want - st.buf.len();
-                st.buf.reserve_exact(additional);
-            }
-        }
-    }
-
-    /// Advance the fleet by one tick: scatter `samples` to their shards,
-    /// then fold every shard's batch in parallel. A meter absent from
-    /// `samples` simply lags — its accrual keeps its own clock. Samples
-    /// for the same meter fold in slice order.
+    /// Advance the fleet by one tick: route `samples` through the cached
+    /// scatter plan, then fold every shard's bucket in parallel. A meter
+    /// absent from `samples` simply lags — its accrual keeps its own
+    /// clock. Samples for the same meter fold in slice order.
+    ///
+    /// The plan is reused when its lane equals the samples' id column
+    /// element for element (a steady-state tick allocates nothing for
+    /// routing); otherwise it is rebuilt from the samples.
     ///
     /// The fleet degrades instead of dying: a fold that *panics* (a
     /// poisoned accrual, an injected fault) quarantines that one meter —
     /// its sample and the rest of its batch are dropped, every other meter
     /// folds normally, and the casualty is reported in
     /// [`FleetTickReport::newly_quarantined`]. Subsequent ticks drop the
-    /// quarantined meter's samples at scatter time until
+    /// quarantined meter's samples in the plan until
     /// [`MeterFleet::restore`] rehabilitates it from a known-good snapshot.
     /// Typed errors (grid misuse, horizon overrun) still fail the tick. An
     /// unknown meter or a NaN or infinite power fails it before any meter
     /// folds a sample.
     pub fn advance_tick(&mut self, samples: &[Sample]) -> Result<FleetTickReport> {
         let t0 = Instant::now();
-        let mut report = FleetTickReport {
-            samples: samples.len(),
-            ..FleetTickReport::default()
-        };
-        self.reserve_shard_bufs();
-        if let Err(e) = self.scatter(samples, &mut report) {
-            for shard in &mut self.shards {
-                lock_mut(&mut shard.state).buf.clear();
-            }
-            return Err(e);
-        }
-        let worked = try_par_map(&self.shards, |shard| {
-            let state = &mut *lock(&shard.state);
-            // Split-borrow meters and buf out of the guard.
-            let ShardState { meters, buf } = state;
-            let out = fold_shard(meters, buf.iter().copied());
-            buf.clear();
-            out
-        })
-        .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
-        self.absorb_outcomes(&mut report, worked)?;
-        self.ticks += 1;
-        self.samples += report.applied as u64;
-        self.tick_nanos += t0.elapsed().as_nanos();
-        Ok(report)
-    }
-
-    /// Scatter one tick's samples to the shard buffers, counting the
-    /// samples of quarantined meters as dropped.
-    fn scatter(&mut self, samples: &[Sample], report: &mut FleetTickReport) -> Result<()> {
-        let check_quarantine = !self.quarantined.is_empty();
         for s in samples {
-            let (shard, slot) = *self
-                .directory
-                .get(s.meter.0)
-                .ok_or_else(|| CoreError::BadSeries(format!("unknown {}", s.meter)))?;
             check_finite(s.meter, s.power)?;
-            if check_quarantine && self.quarantined.contains_key(&s.meter.0) {
-                report.dropped += 1;
-                continue;
-            }
-            lock_mut(&mut self.shards[shard].state)
-                .buf
-                .push((slot, s.power));
         }
-        Ok(())
+        self.ensure_plan(
+            |lane| {
+                lane.len() == samples.len() && lane.iter().zip(samples).all(|(m, s)| *m == s.meter)
+            },
+            || samples.iter().map(|s| s.meter).collect(),
+        )?;
+        self.advance_planned(t0, 1, |_, pos| samples[pos].power)
     }
 
-    /// Advance the fleet by one columnar [`TickFrame`] — semantically
-    /// identical to [`MeterFleet::advance_tick`] over the equivalent AoS
-    /// batch (bills bit-identical, same degradation rules), but the
-    /// scatter resolves through the cached `ScatterPlan`: on the steady
-    /// state (same id lane, unchanged population) no directory or
-    /// quarantine probes happen at all, and shard workers pull the power
-    /// lane directly through the plan's prefix-sum buckets.
-    pub fn advance_frame(&mut self, frame: &TickFrame) -> Result<FleetTickReport> {
-        let t0 = Instant::now();
-        check_frame_finite(frame)?;
-        self.ensure_plan(&frame.meters)?;
-        let mut report;
-        let worked;
-        {
-            let plan = self.plan.as_ref().expect("plan was just ensured");
-            report = FleetTickReport {
-                samples: frame.len(),
-                dropped: plan.dropped_per_tick,
-                ..FleetTickReport::default()
-            };
-            let powers = frame.powers();
-            let shards = &self.shards;
-            let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| {
-                let state = &mut *lock(&shards[s].state);
-                let (lo, hi) = (plan.offsets[s], plan.offsets[s + 1]);
-                fold_shard(
-                    &mut state.meters,
-                    plan.slots[lo..hi]
-                        .iter()
-                        .zip(&plan.positions[lo..hi])
-                        .map(|(&slot, &pos)| (slot as usize, powers[pos as usize])),
-                )
-            })
-            .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
-        }
-        self.absorb_outcomes(&mut report, worked)?;
-        self.ticks += 1;
-        self.samples += report.applied as u64;
-        self.tick_nanos += t0.elapsed().as_nanos();
-        Ok(report)
-    }
-
-    /// Advance the fleet by a whole window of frames in one fused pass —
-    /// semantically identical to calling [`MeterFleet::advance_frame`]
-    /// once per frame in order, but each meter's window of samples is
-    /// gathered into one contiguous run and folded by a single
-    /// [`BillAccrual::push_run`], so cursor state stays hot and
-    /// `catch_unwind` is paid once per meter-window.
+    /// Advance the fleet by a window of columnar [`TickFrame`]s, one tick
+    /// per frame — semantically identical to calling
+    /// [`MeterFleet::advance_tick`] once per frame in order (bills
+    /// bit-identical, same degradation rules). A one-frame window
+    /// (`advance_window(std::slice::from_ref(&frame))`) is the columnar
+    /// tick. A wider window gathers each meter's samples into one
+    /// contiguous run folded by a single [`BillAccrual::push_run`], so
+    /// cursor state stays hot and `catch_unwind` is paid once per
+    /// meter-window.
     ///
-    /// The fused pass needs one scatter plan for the whole window: every
+    /// The fused fold needs one scatter plan for the whole window: every
     /// frame must carry the same meter-id lane (share it by `Arc` to make
     /// the check a pointer compare) with no duplicate meters. Windows that
     /// don't qualify degrade gracefully to per-frame advances — same
@@ -684,81 +578,57 @@ impl MeterFleet {
     /// A NaN or infinite power in any frame fails the whole window before
     /// any meter folds a sample.
     pub fn advance_window(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
-        let (first, rest) = match frames.split_first() {
-            None => return Ok(FleetTickReport::default()),
-            Some(split) => split,
+        let t0 = Instant::now();
+        let Some(first) = frames.first() else {
+            return Ok(FleetTickReport::default());
         };
-        if rest.is_empty() {
-            return self.advance_frame(first);
-        }
         for frame in frames {
-            check_frame_finite(frame)?;
-        }
-        let homogeneous = rest
-            .iter()
-            .all(|f| Arc::ptr_eq(&f.meters, &first.meters) || f.meters[..] == first.meters[..]);
-        if homogeneous {
-            self.ensure_plan(&first.meters)?;
-            if self.plan.as_ref().is_some_and(|p| p.unique) {
-                return self.advance_window_fused(frames);
+            if let Some(pos) = frame.powers.iter().position(|p| !p.is_finite()) {
+                check_finite(frame.meters[pos], frame.powers[pos])?;
             }
         }
+        if frames.iter().all(|f| same_lane(&f.meters, &first.meters)) {
+            self.ensure_window_plan(&first.meters)?;
+            if frames.len() == 1 || self.plan.as_ref().is_some_and(|p| p.unique) {
+                return self.advance_planned(t0, frames.len(), |f, pos| frames[f].powers[pos]);
+            }
+        }
+        // Mixed lanes or duplicate ids: one-frame advances, each resolving
+        // its own lane, so a panic in one frame re-plans the next.
         let mut report = FleetTickReport::default();
         for frame in frames {
-            report.absorb(self.advance_frame(frame)?);
+            self.ensure_window_plan(&frame.meters)?;
+            report.absorb(self.advance_planned(Instant::now(), 1, |_, pos| frame.powers[pos])?);
         }
         report.newly_quarantined.sort_by_key(|(id, _)| *id);
         Ok(report)
     }
 
-    /// The fused window fold: one `push_run` per meter per window. The
-    /// plan is already ensured, current, and duplicate-free.
-    fn advance_window_fused(&mut self, frames: &[TickFrame]) -> Result<FleetTickReport> {
-        let t0 = Instant::now();
-        let w = frames.len();
-        let mut report;
-        let worked;
-        {
-            let plan = self.plan.as_ref().expect("plan ensured by advance_window");
-            report = FleetTickReport {
-                samples: frames[0].len() * w,
-                dropped: plan.dropped_per_tick * w,
-                ..FleetTickReport::default()
-            };
-            let shards = &self.shards;
-            let shard_ids: Vec<usize> = (0..shards.len()).collect();
-            worked = try_par_map(&shard_ids, |&s| {
-                let state = &mut *lock(&shards[s].state);
-                let meters = &mut state.meters;
-                let mut run: Vec<Power> = Vec::with_capacity(w);
-                let mut out = ShardOutcome::default();
-                for k in plan.offsets[s]..plan.offsets[s + 1] {
-                    let slot = plan.slots[k] as usize;
-                    let pos = plan.positions[k] as usize;
-                    run.clear();
-                    run.extend(frames.iter().map(|f| f.powers[pos]));
-                    let (id, accrual) = &mut meters[slot];
-                    let before = accrual.samples();
-                    match catch_unwind(AssertUnwindSafe(|| accrual.push_run(&run))) {
-                        Ok(Ok(())) => out.applied += w,
-                        Ok(Err(e)) => {
-                            out.error = Some(e);
-                            break;
-                        }
-                        Err(payload) => {
-                            // The fold got `done` samples in before dying;
-                            // the rest of this meter's window is dropped.
-                            let done = (accrual.samples() - before) as usize;
-                            out.applied += done;
-                            out.dropped += w - done;
-                            out.panicked.push((*id, panic_reason(payload)));
-                        }
-                    }
-                }
-                out
-            })
-            .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
-        }
+    /// The one fleet advance: fold `w` ticks through the current scatter
+    /// plan, every shard's bucket in parallel. `power(f, pos)` is tick
+    /// `f`'s power at lane position `pos`. The caller has ensured the plan
+    /// and checked every power finite; for `w > 1` the plan's lane is
+    /// duplicate-free.
+    fn advance_planned(
+        &mut self,
+        t0: Instant,
+        w: usize,
+        power: impl Fn(usize, usize) -> Power + Sync,
+    ) -> Result<FleetTickReport> {
+        let plan = self.plan.as_ref().expect("the caller ensured the plan");
+        let mut report = FleetTickReport {
+            samples: plan.meters.len() * w,
+            dropped: plan.dropped_per_tick * w,
+            ..FleetTickReport::default()
+        };
+        let shards = &self.shards;
+        let shard_ids: Vec<usize> = (0..shards.len()).collect();
+        let worked = try_par_map(&shard_ids, |&s| {
+            let (lo, hi) = (plan.offsets[s], plan.offsets[s + 1]);
+            let bucket = plan.slots[lo..hi].iter().zip(&plan.positions[lo..hi]);
+            fold_shard(&mut lock(&shards[s].meters), bucket, w, &power)
+        })
+        .map_err(|e| CoreError::BatchPanic(e.to_string()))?;
         self.absorb_outcomes(&mut report, worked)?;
         self.ticks += w as u64;
         self.samples += report.applied as u64;
@@ -766,31 +636,42 @@ impl MeterFleet {
         Ok(report)
     }
 
-    /// Reuse the cached scatter plan when it matches `meters` and the
-    /// current population; rebuild it otherwise.
-    fn ensure_plan(&mut self, meters: &Arc<[MeterId]>) -> Result<()> {
-        if let Some(p) = &self.plan {
-            if p.version == self.pop_version
-                && (Arc::ptr_eq(&p.meters, meters) || p.meters[..] == meters[..])
-            {
-                self.plan_hits += 1;
-                return Ok(());
-            }
+    /// [`MeterFleet::ensure_plan`] for a window's frame lane, counted in
+    /// [`FleetStats::plan_hits`] / [`FleetStats::plan_builds`].
+    fn ensure_window_plan(&mut self, meters: &Arc<[MeterId]>) -> Result<()> {
+        if self.ensure_plan(|lane| same_lane(lane, meters), || Arc::clone(meters))? {
+            self.plan_hits += 1;
+        } else {
+            self.plan_builds += 1;
         }
-        let plan = self.build_plan(meters)?;
-        self.plan = Some(plan);
-        self.plan_builds += 1;
         Ok(())
     }
 
-    /// Resolve one frame shape against the current population: two O(n)
-    /// passes (bucket counts, then prefix-sum fill), with quarantine
-    /// membership folded in (quarantined positions are dropped from the
-    /// plan, so the steady-state tick never probes the quarantine map).
-    fn build_plan(&mut self, meters: &Arc<[MeterId]>) -> Result<ScatterPlan> {
+    /// Reuse the cached scatter plan when it matches the current
+    /// population and `serves` its lane; rebuild it over `lane()`
+    /// otherwise. Returns true on reuse.
+    fn ensure_plan(
+        &mut self,
+        serves: impl FnOnce(&Arc<[MeterId]>) -> bool,
+        lane: impl FnOnce() -> Arc<[MeterId]>,
+    ) -> Result<bool> {
+        if let Some(p) = &self.plan {
+            if p.version == self.pop_version && serves(&p.meters) {
+                return Ok(true);
+            }
+        }
+        self.plan = Some(self.build_plan(lane())?);
+        Ok(false)
+    }
+
+    /// Resolve one lane against the current population: two O(n) passes
+    /// (bucket counts, then prefix-sum fill), with quarantine membership
+    /// folded in (quarantined positions are dropped from the plan, so the
+    /// steady-state advance never probes the quarantine map).
+    fn build_plan(&mut self, meters: Arc<[MeterId]>) -> Result<ScatterPlan> {
         if meters.len() > u32::MAX as usize {
             return Err(CoreError::BadSeries(format!(
-                "tick frame of {} samples exceeds the plan's u32 position space",
+                "a lane of {} samples exceeds the plan's u32 position space",
                 meters.len()
             )));
         }
@@ -845,7 +726,7 @@ impl MeterFleet {
         }
         Ok(ScatterPlan {
             version: self.pop_version,
-            meters: Arc::clone(meters),
+            meters,
             offsets,
             slots,
             positions,
@@ -889,7 +770,7 @@ impl MeterFleet {
     pub fn finalize(&self, meter: MeterId) -> Result<Bill> {
         self.check_quarantine(meter)?;
         let (shard, slot) = self.locate(meter)?;
-        lock(&self.shards[shard].state).meters[slot].1.finalize()
+        lock(&self.shards[shard].meters)[slot].1.finalize()
     }
 
     /// Close the books of every *healthy* meter, in parallel, returned in
@@ -898,9 +779,7 @@ impl MeterFleet {
     pub fn finalize_all(&self) -> Result<Vec<(MeterId, Bill)>> {
         let quarantined = &self.quarantined;
         let per_shard = try_par_map(&self.shards, |shard| -> Result<Vec<(MeterId, Bill)>> {
-            let state = lock(&shard.state);
-            state
-                .meters
+            lock(&shard.meters)
                 .iter()
                 .filter(|(id, _)| !quarantined.contains_key(&id.0))
                 .map(|(id, acc)| acc.finalize().map(|b| (*id, b)))
@@ -922,7 +801,7 @@ impl MeterFleet {
     pub fn snapshot(&self, meter: MeterId) -> Result<AccrualSnapshot> {
         self.check_quarantine(meter)?;
         let (shard, slot) = self.locate(meter)?;
-        Ok(lock(&self.shards[shard].state).meters[slot].1.snapshot())
+        Ok(lock(&self.shards[shard].meters)[slot].1.snapshot())
     }
 
     /// Snapshot every healthy meter in meter-id order — the payload of a
@@ -933,7 +812,7 @@ impl MeterFleet {
             .filter(|id| !self.quarantined.contains_key(id))
             .map(|id| {
                 let (shard, slot) = self.directory[id];
-                let snap = lock(&self.shards[shard].state).meters[slot].1.snapshot();
+                let snap = lock(&self.shards[shard].meters)[slot].1.snapshot();
                 (id as u64, snap)
             })
             .collect()
@@ -948,7 +827,7 @@ impl MeterFleet {
         let (shard, slot) = self.locate(meter)?;
         let kernel = Arc::clone(&self.shards[shard].kernel);
         let restored = BillAccrual::restore(kernel, snap)?;
-        lock_mut(&mut self.shards[shard].state).meters[slot].1 = restored;
+        lock_mut(&mut self.shards[shard].meters)[slot].1 = restored;
         if self.quarantined.remove(&meter.0).is_some() {
             // Rehabilitation re-admits the meter to scatter plans.
             self.pop_version += 1;
@@ -990,7 +869,7 @@ impl MeterFleet {
     #[doc(hidden)]
     pub fn chaos_poison_meter(&mut self, meter: MeterId) -> Result<()> {
         let (shard, slot) = self.locate(meter)?;
-        lock_mut(&mut self.shards[shard].state).meters[slot]
+        lock_mut(&mut self.shards[shard].meters)[slot]
             .1
             .poison_next_push();
         Ok(())
@@ -1019,17 +898,14 @@ impl MeterFleet {
         let kernel = self.kernels.get_or_insert(Arc::new(patched))?;
         // Rebind first: if the delta is not accrual-preserving this fails
         // and the meter stays where it is.
-        let mut accrual = {
-            let state = lock_mut(&mut self.shards[shard].state);
-            state.meters[slot].1.clone()
-        };
+        let mut accrual = lock_mut(&mut self.shards[shard].meters)[slot].1.clone();
         accrual.rebind(Arc::clone(&kernel))?;
         // Remove from the old shard, patching the directory entry of
         // whichever meter swap_remove moved into the vacated slot.
         {
-            let state = lock_mut(&mut self.shards[shard].state);
-            state.meters.swap_remove(slot);
-            if let Some((moved_id, _)) = state.meters.get(slot) {
+            let meters = lock_mut(&mut self.shards[shard].meters);
+            meters.swap_remove(slot);
+            if let Some((moved_id, _)) = meters.get(slot) {
                 self.directory[moved_id.0] = (shard, slot);
             }
         }
@@ -1069,9 +945,7 @@ impl MeterFleet {
     pub fn stats(&self) -> FleetStats {
         let mut bytes: usize = 0;
         for shard in &self.shards {
-            let state = lock(&shard.state);
-            bytes += state
-                .meters
+            bytes += lock(&shard.meters)
                 .iter()
                 .map(|(_, acc)| acc.approx_bytes())
                 .sum::<usize>();
@@ -1110,31 +984,50 @@ impl MeterFleet {
     }
 }
 
-/// Fold one shard's scattered `(slot, power)` pulls in tick order,
-/// quarantining panicking meters per-push. Membership of the panicked set
-/// is a lazily-allocated slot bitmap: O(1) per sample, and the common
-/// panic-free tick never allocates or probes it.
-fn fold_shard(
+/// Fold one shard's plan bucket in lane order: each `(slot, position)`
+/// entry's meter takes its `w` samples — one `push_next` when `w == 1`,
+/// one `push_run` over the gathered run otherwise — quarantining a meter
+/// whose fold panics. The rest of a casualty's samples in this advance are
+/// dropped: a lazily-allocated slot bitmap catches its later entries in a
+/// lane that names it twice, O(1) per entry, and the common panic-free
+/// advance never allocates or probes it.
+fn fold_shard<'a>(
     meters: &mut [(MeterId, BillAccrual)],
-    pulls: impl Iterator<Item = (usize, Power)>,
+    bucket: impl Iterator<Item = (&'a u32, &'a u32)>,
+    w: usize,
+    power: &impl Fn(usize, usize) -> Power,
 ) -> ShardOutcome {
     let mut out = ShardOutcome::default();
     let mut bits: Vec<u64> = Vec::new();
-    let words = meters.len().div_ceil(64).max(1);
-    for (slot, power) in pulls {
+    let words = meters.len().div_ceil(64);
+    let mut run: Vec<Power> = Vec::with_capacity(if w > 1 { w } else { 0 });
+    for (&slot, &pos) in bucket {
+        let (slot, pos) = (slot as usize, pos as usize);
         if !bits.is_empty() && bits[slot / 64] & (1 << (slot % 64)) != 0 {
-            out.dropped += 1;
+            out.dropped += w;
             continue;
         }
         let (id, accrual) = &mut meters[slot];
-        match catch_unwind(AssertUnwindSafe(|| accrual.push_next(power))) {
-            Ok(Ok(())) => out.applied += 1,
+        let before = accrual.samples();
+        let folded = if w == 1 {
+            let p = power(0, pos);
+            catch_unwind(AssertUnwindSafe(|| accrual.push_next(p)))
+        } else {
+            run.clear();
+            run.extend((0..w).map(|f| power(f, pos)));
+            catch_unwind(AssertUnwindSafe(|| accrual.push_run(&run)))
+        };
+        match folded {
+            Ok(Ok(())) => out.applied += w,
             Ok(Err(e)) => {
                 out.error = Some(e);
                 break;
             }
             Err(payload) => {
-                out.dropped += 1;
+                // The fold got `done` samples in before dying.
+                let done = (accrual.samples() - before) as usize;
+                out.applied += done;
+                out.dropped += w - done;
                 if bits.is_empty() {
                     bits = vec![0u64; words];
                 }
@@ -1159,12 +1052,10 @@ fn check_finite(meter: MeterId, power: Power) -> Result<()> {
     }
 }
 
-/// [`check_finite`] over a whole frame's power lane.
-fn check_frame_finite(frame: &TickFrame) -> Result<()> {
-    match frame.powers.iter().position(|p| !p.is_finite()) {
-        None => Ok(()),
-        Some(pos) => check_finite(frame.meters[pos], frame.powers[pos]),
-    }
+/// True if two id lanes are the same lane: one `Arc` (a pointer compare)
+/// or equal element for element.
+fn same_lane(a: &Arc<[MeterId]>, b: &Arc<[MeterId]>) -> bool {
+    Arc::ptr_eq(a, b) || a[..] == b[..]
 }
 
 /// Human-readable panic message out of a `catch_unwind` payload, shared
@@ -1179,17 +1070,19 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> Arc<str> {
     }
 }
 
-/// Lock a shard from a shared borrow (the parallel tick path). Poisoning
-/// cannot leave half-applied state — a panicking task dies before its
-/// `advance_tick` result is observed — so poisoned locks are recovered.
-fn lock(state: &Mutex<ShardState>) -> std::sync::MutexGuard<'_, ShardState> {
-    state.lock().unwrap_or_else(|p| p.into_inner())
+/// Lock a shard from a shared borrow (the parallel advance path).
+/// Poisoning cannot leave half-applied state — a panicking task dies
+/// before its advance's result is observed — so poisoned locks are
+/// recovered.
+fn lock(meters: &Mutex<Meters>) -> std::sync::MutexGuard<'_, Meters> {
+    meters.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Lock a shard through `&mut` (registration/scatter): no locking at all.
-fn lock_mut(state: &mut Mutex<ShardState>) -> &mut ShardState {
-    match state.get_mut() {
-        Ok(s) => s,
+/// Lock a shard through `&mut` (registration, delta moves): no locking at
+/// all.
+fn lock_mut(meters: &mut Mutex<Meters>) -> &mut Meters {
+    match meters.get_mut() {
+        Ok(m) => m,
         Err(p) => p.into_inner(),
     }
 }

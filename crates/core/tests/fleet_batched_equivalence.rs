@@ -7,7 +7,7 @@
 //!
 //! * per-sample `BillAccrual::push_next`,
 //! * fused `BillAccrual::push_run` over arbitrary chunkings,
-//! * `MeterFleet::advance_tick` / `advance_frame` / `advance_window`
+//! * `MeterFleet::advance_tick` / `advance_window`
 //!   over arbitrary window widths and shard counts.
 //!
 //! On top of pure equivalence: a meter that panics mid-window loses the
@@ -186,6 +186,16 @@ fn frame_at(ids: &Arc<[MeterId]>, tick: u64) -> TickFrame {
     TickFrame::new(Arc::clone(ids), powers).unwrap()
 }
 
+/// A frame as the equivalent AoS tick.
+fn samples_of(frame: &TickFrame) -> Vec<Sample> {
+    frame
+        .meters()
+        .iter()
+        .zip(frame.powers())
+        .map(|(&meter, &power)| Sample { meter, power })
+        .collect()
+}
+
 fn batch_at(ids: &[MeterId], tick: u64) -> Vec<Sample> {
     ids.iter()
         .map(|id| Sample {
@@ -251,32 +261,78 @@ proptest! {
     /// The fleet-level half: `advance_window` over arbitrary window
     /// widths ≡ `advance_tick` per tick, bills compared bit-identically at
     /// every window boundary and pinned against solo per-sample accruals
-    /// at the end — across shard counts.
+    /// at the end — across shard counts. Between windows the same fleet
+    /// also takes ticks whose id column differs from the frame lane (a
+    /// permutation, a lagging subset, one meter twice) or equals it, and
+    /// one `apply_delta` moves a meter mid-stream: every tick re-routes
+    /// through the scatter plan without ever being counted as a window
+    /// advance.
     #[test]
     fn advance_window_matches_ticks_and_solo_push(
         meters in 1usize..10,
         shards in prop::sample::select(vec![1usize, 2, 5]),
         ticks in 1u64..40,
         widths in prop::collection::vec(1usize..9, 1..20),
+        between in prop::collection::vec(0usize..4, 1..20),
+        delta_after in 0usize..20,
     ) {
         let (mut windowed, ids_w) = fleet_of(meters, shards);
         let (mut ticked, ids_t) = fleet_of(meters, shards);
         prop_assert_eq!(&ids_w, &ids_t);
         let ids: Arc<[MeterId]> = ids_w.clone().into();
+        // Samples each meter has folded; its k-th sample is `mw(meter, k)`
+        // whichever advance carries it.
+        let mut fed = vec![0u64; meters];
+        let delta = ContractDelta::SetMonthlyFee(Money::from_dollars(1_250.0));
+        // (meter, samples folded before the delta) of the one delta.
+        let mut delta_at: Option<(usize, u64)> = None;
+        let mut window_advances = 0u64;
 
         let mut t = 0u64;
         let mut wi = 0usize;
         while t < ticks {
             let w = (widths[wi % widths.len()] as u64).min(ticks - t);
-            wi += 1;
-            let frames: Vec<TickFrame> =
-                (t..t + w).map(|tick| frame_at(&ids, tick)).collect();
+            let frames: Vec<TickFrame> = (0..w)
+                .map(|f| {
+                    let powers = ids.iter().map(|id| mw(id.0, fed[id.0] + f)).collect();
+                    TickFrame::new(Arc::clone(&ids), powers).unwrap()
+                })
+                .collect();
             let report = windowed.advance_window(&frames).unwrap();
+            window_advances += 1;
             prop_assert_eq!(report.applied, meters * w as usize);
-            for tick in t..t + w {
-                ticked.advance_tick(&batch_at(&ids_t, tick)).unwrap();
+            for frame in &frames {
+                ticked.advance_tick(&samples_of(frame)).unwrap();
+            }
+            for n in fed.iter_mut() {
+                *n += w;
             }
             t += w;
+
+            // One tick between windows, on both fleets.
+            let column: Vec<MeterId> = match between[wi % between.len()] {
+                0 => ids.to_vec(),
+                1 => ids.iter().rev().copied().collect(),
+                2 => ids.iter().step_by(2).copied().collect(),
+                _ => ids.iter().chain(&ids[..1]).copied().collect(),
+            };
+            let tick: Vec<Sample> = column
+                .iter()
+                .map(|&meter| {
+                    fed[meter.0] += 1;
+                    Sample { meter, power: mw(meter.0, fed[meter.0] - 1) }
+                })
+                .collect();
+            prop_assert_eq!(windowed.advance_tick(&tick).unwrap().applied, tick.len());
+            ticked.advance_tick(&tick).unwrap();
+
+            if delta_at.is_none() && (wi == delta_after || t >= ticks) {
+                let j = delta_after % meters;
+                windowed.apply_delta(ids[j], &delta).unwrap();
+                ticked.apply_delta(ids_t[j], &delta).unwrap();
+                delta_at = Some((j, fed[j]));
+            }
+            wi += 1;
             prop_assert_eq!(
                 windowed.finalize_all().unwrap(),
                 ticked.finalize_all().unwrap(),
@@ -284,15 +340,24 @@ proptest! {
                 t
             );
         }
+        let stats = windowed.stats();
+        prop_assert_eq!(stats.plan_hits + stats.plan_builds, window_advances);
 
-        // Pin against solo accruals fed one push_next per sample.
+        // Pin against solo accruals fed one push_next per sample, rebound
+        // to the patched kernel where the fleet applied the delta.
         let shapes = [rich_contract(), flat_contract()];
         for (i, id) in ids.iter().enumerate() {
             let kernel = compile(&shapes[i % shapes.len()], Precision::BitExact);
+            let patched = Arc::new(kernel.patch(&delta).unwrap());
             let mut solo =
                 BillAccrual::new(kernel, SimTime::EPOCH, Duration::from_minutes(15.0)).unwrap();
-            for tick in 0..ticks {
-                solo.push_next(mw(id.0, tick)).unwrap();
+            for k in 0..=fed[i] {
+                if delta_at == Some((i, k)) {
+                    solo.rebind(Arc::clone(&patched)).unwrap();
+                }
+                if k < fed[i] {
+                    solo.push_next(mw(id.0, k)).unwrap();
+                }
             }
             prop_assert_eq!(
                 windowed.finalize(*id).unwrap(),
@@ -459,13 +524,7 @@ fn duplicate_meters_in_frame_degrade_without_divergence() {
     let report = windowed.advance_window(&frames).unwrap();
     assert_eq!(report.applied, 4 * 6);
     for f in &frames {
-        let samples: Vec<Sample> = f
-            .meters()
-            .iter()
-            .zip(f.powers())
-            .map(|(&meter, &power)| Sample { meter, power })
-            .collect();
-        ticked.advance_tick(&samples).unwrap();
+        ticked.advance_tick(&samples_of(f)).unwrap();
     }
     assert_eq!(
         windowed.finalize_all().unwrap(),
@@ -484,7 +543,7 @@ fn malformed_frames_and_horizon_overruns_error_like_per_sample() {
     assert!(TickFrame::new(Arc::clone(&lane), vec![Power::from_megawatts(1.0)]).is_err());
     let stranger: Arc<[MeterId]> = vec![MeterId(99)].into();
     let frame = TickFrame::new(stranger, vec![Power::from_megawatts(1.0)]).unwrap();
-    assert!(fleet.advance_frame(&frame).is_err());
+    assert!(fleet.advance_window(std::slice::from_ref(&frame)).is_err());
 
     // push_run past the horizon: the fitting prefix applies, then the
     // exact error push_next would have returned for the first overrun.

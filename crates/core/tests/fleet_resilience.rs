@@ -260,19 +260,52 @@ fn non_finite_sample_fails_the_tick_and_leaves_the_meter_billable() {
 }
 
 #[test]
+fn unknown_meter_fails_the_tick_before_any_meter_folds() {
+    let (mut fleet, ids) = fleet_of(METERS);
+    let (mut reference, _) = fleet_of(METERS);
+    for t in 0..10 {
+        fleet.advance_tick(&batch(&ids, t)).unwrap();
+        reference.advance_tick(&batch(&ids, t)).unwrap();
+    }
+    // The stranger sits mid-column, after meters of both shards.
+    let mut tick = batch(&ids, 10);
+    tick.insert(
+        METERS / 2,
+        Sample {
+            meter: MeterId(99),
+            power: mw(99, 10),
+        },
+    );
+    assert!(matches!(
+        fleet.advance_tick(&tick),
+        Err(CoreError::BadSeries(_))
+    ));
+    assert_same_books(&fleet, &reference, &ids);
+    // The next clean tick folds every meter exactly once.
+    let report = fleet.advance_tick(&batch(&ids, 10)).unwrap();
+    assert_eq!((report.samples, report.applied), (METERS, METERS));
+    reference.advance_tick(&batch(&ids, 10)).unwrap();
+    assert_same_books(&fleet, &reference, &ids);
+}
+
+#[test]
 fn non_finite_power_fails_frames_and_windows_before_any_meter_folds() {
     let (mut fleet, ids) = fleet_of(METERS);
     let (mut reference, _) = fleet_of(METERS);
     let lane: Arc<[MeterId]> = ids.clone().into();
     let reversed: Arc<[MeterId]> = ids.iter().rev().copied().collect();
-    fleet.advance_frame(&frame(&lane, 0)).unwrap();
-    reference.advance_frame(&frame(&lane, 0)).unwrap();
+    fleet
+        .advance_window(std::slice::from_ref(&frame(&lane, 0)))
+        .unwrap();
+    reference
+        .advance_window(std::slice::from_ref(&frame(&lane, 0)))
+        .unwrap();
     for kw in NON_FINITE {
         let mut bad = frame(&lane, 1);
         bad.powers_mut()[4] = Power::from_kilowatts(kw);
         // One frame.
         assert!(matches!(
-            fleet.advance_frame(&bad),
+            fleet.advance_window(std::slice::from_ref(&bad)),
             Err(CoreError::BadSeries(_))
         ));
         assert_same_books(&fleet, &reference, &ids);
